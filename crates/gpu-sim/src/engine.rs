@@ -196,8 +196,8 @@ struct KernelInstance {
     effect_slots: Vec<Option<EffectSlot>>,
     n_cell_segs: usize,
     /// Minimum over the grid of a block's total warp instructions (jitter
-    /// scaling makes blocks unequal). A sound per-block lower bound for the
-    /// parallel engine's kernel-finish bound.
+    /// scaling makes blocks unequal). A sound per-block lower bound for
+    /// [`Engine::kernel_finish_lower_bound`].
     min_block_total: u64,
 }
 
@@ -387,6 +387,11 @@ pub struct Engine {
     free_context_moves: bool,
     break_on_kernel_finish: bool,
     kernel_finish_pending: bool,
+    /// Cached [`Engine::kernel_finish_lower_bound`] for the current run
+    /// (see [`Engine::finish_bound`]); `None` until first needed. Cleared on
+    /// every [`Engine::run_until`] entry, because launches, assignments,
+    /// preemptions and instruction caps only happen between runs.
+    finish_bound: Option<u64>,
     preempt_records: Vec<PreemptRecord>,
     open_preempts: Vec<Option<usize>>, // per SM: index into preempt_records
     events: Vec<Event>,
@@ -439,6 +444,7 @@ impl Engine {
             free_context_moves: false,
             break_on_kernel_finish: false,
             kernel_finish_pending: false,
+            finish_bound: None,
             preempt_records: Vec::new(),
             open_preempts: vec![None; n],
             events: Vec::new(),
@@ -752,6 +758,10 @@ impl Engine {
     /// Make [`Engine::run_until`] return as soon as a kernel finishes, so a
     /// scheduler can react (relaunch, repartition) without the GPU idling
     /// until the requested target cycle.
+    ///
+    /// Batched issue and the parallel pure phase keep running while this
+    /// is set, capped strictly below the earliest cycle at which any
+    /// kernel could finish, so every mode returns in the same state.
     pub fn set_break_on_kernel_finish(&mut self, brk: bool) {
         self.break_on_kernel_finish = brk;
     }
@@ -1152,8 +1162,10 @@ impl Engine {
     /// could change dispatchability (launch, assign, preemption, a block
     /// completing or switching out).
     pub fn run_until(&mut self, target: u64) -> Vec<Event> {
-        // The caller may have mutated assignments or queues between runs.
+        // The caller may have mutated assignments or queues between runs,
+        // which can move the earliest possible kernel finish either way.
         self.mark_dispatch_dirty();
+        self.finish_bound = None;
         let broke = match self.mode {
             ExecMode::Parallel { shards } => self.run_epochs(target, shards),
             _ => self.step_events_until(target),
@@ -1221,16 +1233,20 @@ impl Engine {
             let resident = self.sms[idx].resident_kernel();
             // Batched issue must stop where the serial schedule could be
             // observed or perturbed: at the run horizon (the caller may
-            // preempt/reassign afterwards), immediately when a kernel finish
-            // can end the run early or an armed instruction cap makes other
-            // SMs' cap checks read this SM's issue counter mid-run, and
-            // whenever this SM could still receive blocks mid-window.
+            // preempt/reassign afterwards), strictly before the earliest
+            // cycle at which a kernel finish could end the run early,
+            // immediately while an armed instruction cap makes other SMs'
+            // cap checks read this SM's issue counter mid-run, and whenever
+            // this SM could still receive blocks mid-window.
+            let horizon = if self.mode == ExecMode::Scan {
+                self.cycle
+            } else if self.break_on_kernel_finish {
+                target.min(self.finish_bound(self.cycle).saturating_sub(1))
+            } else {
+                target
+            };
             let limits = TickLimits {
-                horizon: if self.break_on_kernel_finish || self.mode == ExecMode::Scan {
-                    self.cycle
-                } else {
-                    target
-                },
+                horizon,
                 max_insts: match resident {
                     Some(k)
                         if self.kernels[k.0].inst_cap.is_some()
@@ -1343,7 +1359,7 @@ impl Engine {
                     // serial engine's: cap the pure phase strictly below the
                     // earliest cycle at which any kernel could finish, so no
                     // pure tick commits past the potential break point.
-                    bound_a = bound_a.min(self.kernel_finish_lower_bound(t0).saturating_sub(1));
+                    bound_a = bound_a.min(self.finish_bound(t0).saturating_sub(1));
                 }
                 if bound_a >= t0 {
                     self.advance_shards(bound_a, shards);
@@ -1467,21 +1483,52 @@ impl Engine {
         }
     }
 
+    /// The kernel-finish bound both run loops cap early-break-safe work
+    /// with: batched issue in [`Engine::step_events_until`] and the pure
+    /// phase in [`Engine::run_epochs`] may run through `bound − 1` at most.
+    ///
+    /// The cached [`Engine::kernel_finish_lower_bound`] stays sound for the
+    /// whole run — the simulation only moves forward from the state it was
+    /// computed on, and everything that could move it earlier happens
+    /// between runs — so it is recomputed only once the clock `now` reaches
+    /// it, where a fresh bound from the current state may lie further out.
+    fn finish_bound(&mut self, now: u64) -> u64 {
+        match self.finish_bound {
+            Some(b) if now < b => b,
+            _ => {
+                let b = self.kernel_finish_lower_bound(now);
+                self.finish_bound = Some(b);
+                b
+            }
+        }
+    }
+
     /// A sound lower bound on the earliest cycle at which *any* unfinished
-    /// kernel can finish, given the machine state at epoch start `t0`.
+    /// kernel can finish, given the machine state and that nothing happens
+    /// before cycle `now`.
     ///
     /// A kernel finishes when its last block completes, and every remaining
     /// block still has to push its remaining warp instructions through one
     /// SM's issue pipeline, each occupying it for `issue_interval` cycles
-    /// (memory stalls, halts and queueing only add). So per kernel:
-    /// `base + issue_interval × max(remaining insts over remaining blocks)`,
-    /// with the per-block remainder itself lower-bounded: exact for
-    /// resident blocks and switch snapshots, and the grid-wide minimum
-    /// block length for fresh/restarted blocks (jitter scaling makes block
-    /// lengths unequal; an overestimate here would be unsound).
-    fn kernel_finish_lower_bound(&self, t0: u64) -> u64 {
-        let base = self.cycle.max(t0);
+    /// (memory stalls, halts and queueing only add). A block completes on
+    /// the tick that *issues* its last chunk of up to `issue_chunk`
+    /// instructions, so only the instructions before that chunk cost issue
+    /// time. So per kernel:
+    /// `base + issue_interval × (max(remaining insts over remaining blocks) − issue_chunk)`,
+    /// saturating at `base`, with the per-block remainder itself
+    /// lower-bounded: exact for resident blocks and switch snapshots, and
+    /// the grid-wide minimum block length for fresh/restarted blocks
+    /// (jitter scaling makes block lengths unequal; an overestimate here
+    /// would be unsound). `u64::MAX` once every launched kernel has
+    /// finished.
+    ///
+    /// Public only for the soundness property tests; the run loops read it
+    /// through a per-run cache.
+    #[doc(hidden)]
+    pub fn kernel_finish_lower_bound(&self, now: u64) -> u64 {
+        let base = self.cycle.max(now);
         let interval = self.cfg.issue_interval();
+        let chunk = u64::from(self.cfg.issue_chunk.max(1));
         // Exact per-kernel remainder of the block (across all kernels)
         // furthest from completion on each SM.
         let mut resident_max = vec![0u64; self.kernels.len()];
@@ -1510,7 +1557,8 @@ impl Engine {
                     .saturating_mul(snap.warps.len() as u64);
                 rem_max = rem_max.max(total.saturating_sub(snap.insts));
             }
-            lb = lb.min(base.saturating_add(interval.saturating_mul(rem_max)));
+            let issue_time = interval.saturating_mul(rem_max.saturating_sub(chunk));
+            lb = lb.min(base.saturating_add(issue_time));
         }
         lb
     }

@@ -64,10 +64,14 @@ pub struct SmOutput {
 /// state that the same number of ordinary single-chunk ticks would have.
 #[derive(Debug, Clone, Copy)]
 pub struct TickLimits {
-    /// Latest cycle at which a batched tick may be scheduled (the engine's
-    /// current run horizon). State beyond the horizon must not be committed:
-    /// once the run returns, the caller may preempt or reassign the SM, and
-    /// pre-executed work would then diverge from the serial schedule.
+    /// Latest cycle at which a batched tick may be scheduled: the last
+    /// cycle the engine's run is certain to reach. State beyond it must not
+    /// be committed: once the run returns, the caller may preempt or
+    /// reassign the SM, and pre-executed work would then diverge from the
+    /// serial schedule. The engine passes the run's target cycle, capped
+    /// under break-on-kernel-finish strictly below the earliest cycle at
+    /// which any kernel could finish (the run may return there), and the
+    /// current cycle (no batching) in its scan reference mode.
     pub horizon: u64,
     /// Maximum warp instructions the batch may issue. The engine sets `0`
     /// while an instruction cap is armed on the resident kernel so the

@@ -14,7 +14,8 @@
 
 use gpu_sim::trace::chrome_trace_json;
 use gpu_sim::{
-    Engine, Event, ExecMode, GpuConfig, KernelDesc, Program, Segment, SmPreemptPlan, Technique,
+    Engine, Event, ExecMode, GpuConfig, KernelDesc, KernelId, Program, Segment, SmPreemptPlan,
+    Technique,
 };
 
 fn four_sm_config() -> GpuConfig {
@@ -211,9 +212,12 @@ fn scheduler_can_be_toggled_mid_run() {
 #[test]
 fn parallel_mode_breaks_on_kernel_finish_identically() {
     // `run_until` must return early at the kernel-finish cycle with the
-    // machine in the same state in every mode: the parallel engine bounds
-    // its pure phase strictly below any possible finish cycle, so no shard
-    // runs past the break point.
+    // machine in the same state in every mode: batched issue and the
+    // parallel engine's pure phase both stop strictly below any possible
+    // finish cycle, so no SM runs past the break point. The statistics are
+    // recorded at every break, not just at the end, because work run past
+    // a break is only visible there: the serial replay catches up by the
+    // time both kernels finish.
     let cfg = four_sm_config();
     let run = |mode: ExecMode| {
         let mut e = Engine::with_seed(cfg.clone(), 9);
@@ -232,17 +236,22 @@ fn parallel_mode_breaks_on_kernel_finish_identically() {
         let mut guard = 0;
         while !(e.kernel_stats(ka).finished && e.kernel_stats(kb).finished) {
             let events = e.run_for(50_000_000);
-            log.push((e.cycle(), events));
+            let stats = format!(
+                "{:?} | {:?} | {:?}",
+                e.gpu_stats(),
+                e.kernel_stats(ka),
+                e.kernel_stats(kb)
+            );
+            log.push((e.cycle(), events, stats));
             guard += 1;
             assert!(guard < 100, "kernels did not finish");
         }
-        let stats = format!("{:?} | {:?}", e.kernel_stats(ka), e.kernel_stats(kb));
         assert_race_clean(&e);
-        (log, stats)
+        log
     };
     let reference = run(ExecMode::Event);
     assert!(
-        reference.0.len() >= 2,
+        reference.len() >= 2,
         "scenario must break early at least twice (one per kernel finish)"
     );
     assert_eq!(run(ExecMode::Scan), reference, "scan diverged");
@@ -251,6 +260,89 @@ fn parallel_mode_breaks_on_kernel_finish_identically() {
         reference,
         "parallel diverged"
     );
+}
+
+/// Everything a caller can observe between runs: the clock, whole-GPU
+/// statistics, every kernel's statistics and every SM's snapshot.
+fn observable_state(e: &Engine, kernels: &[KernelId]) -> String {
+    let mut s = format!("cycle {} | {:?}", e.cycle(), e.gpu_stats());
+    for &k in kernels {
+        s += &format!(" | {:?}", e.kernel_stats(k));
+    }
+    for sm in 0..e.config().num_sms {
+        s += &format!(" | {:?}", e.sm_snapshot(sm));
+    }
+    s
+}
+
+#[test]
+fn break_on_finish_matches_at_every_phase_offset() {
+    // A one-chunk kernel finishes on the very tick that issues its only
+    // chunk, so the kernel-finish bound must not add that chunk's issue
+    // time. Launching it at 64 consecutive cycle offsets next to a long
+    // compute kernel sweeps the break across every phase of the long
+    // kernel's issue rotation; a bound that is late by even one chunk lets
+    // batched or pure ticks on the other SM run past the break and report
+    // extra issued instructions.
+    let short = KernelDesc::builder("phase_short")
+        .grid_blocks(1)
+        .threads_per_block(32)
+        .program(Program::new(vec![Segment::compute(8)]))
+        .build()
+        .expect("valid kernel");
+    let long = KernelDesc::builder("phase_long")
+        .grid_blocks(1)
+        .threads_per_block(32)
+        .program(Program::new(vec![
+            Segment::load(1),
+            Segment::compute(100_000),
+        ]))
+        .build()
+        .expect("valid kernel");
+    let run = |mode: ExecMode, offset: u64| {
+        let mut e = Engine::with_seed(GpuConfig::tiny(), 21);
+        e.set_exec_mode(mode);
+        arm_race_check(&mut e);
+        e.set_break_on_kernel_finish(true);
+        let kl = e.launch_kernel(long.clone());
+        e.assign_sm(1, Some(kl));
+        let mut log = vec![(e.run_until(offset), observable_state(&e, &[kl]))];
+        let ks = e.launch_kernel(short.clone());
+        e.assign_sm(0, Some(ks));
+        let kernels = [kl, ks];
+        let mut guard = 0;
+        while !(e.kernel_stats(kl).finished && e.kernel_stats(ks).finished) {
+            let events = e.run_for(10_000_000);
+            log.push((events, observable_state(&e, &kernels)));
+            guard += 1;
+            assert!(guard < 10, "kernels did not finish");
+        }
+        assert_race_clean(&e);
+        log
+    };
+    for offset in 1000..1064 {
+        let reference = run(ExecMode::Scan, offset);
+        assert!(
+            reference.len() >= 3,
+            "offset {offset}: both kernels must break the run early"
+        );
+        for mode in [
+            ExecMode::Event,
+            ExecMode::Parallel { shards: 1 },
+            ExecMode::Parallel { shards: 3 },
+        ] {
+            let got = run(mode, offset);
+            assert_eq!(
+                got.len(),
+                reference.len(),
+                "offset {offset}: {mode:?} run count"
+            );
+            for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(g.0, r.0, "offset {offset}: {mode:?} events of run {i}");
+                assert_eq!(g.1, r.1, "offset {offset}: {mode:?} state after run {i}");
+            }
+        }
+    }
 }
 
 #[test]

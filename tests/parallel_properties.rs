@@ -7,9 +7,13 @@
 //! parallel engine at 1, 2 and 4 shards, and demands byte-identical event
 //! streams and statistics. Thread-scheduling independence falls out of
 //! repetition: each proptest case re-runs the sharded engine with fresh
-//! threads whose interleaving the OS is free to vary.
+//! threads whose interleaving the OS is free to vary. One more property
+//! checks the kernel-finish bound that lets batched and pure ticks run
+//! under break-on-kernel-finish without passing an early return.
 
-use gpu_sim::{Engine, Event, ExecMode, GpuConfig, KernelDesc, Program, Segment};
+use gpu_sim::{
+    Engine, Event, ExecMode, GpuConfig, KernelDesc, Program, Segment, SmPreemptPlan, Technique,
+};
 use proptest::prelude::*;
 
 fn arb_segment() -> impl Strategy<Value = Segment> {
@@ -25,6 +29,15 @@ fn arb_segment() -> impl Strategy<Value = Segment> {
 }
 
 fn arb_kernel(tag: &'static str) -> impl Strategy<Value = KernelDesc> {
+    arb_kernel_jitter(tag, 0..3)
+}
+
+/// [`arb_kernel`] with the jitter bucket (in 15% steps) drawn from
+/// `jitter`.
+fn arb_kernel_jitter(
+    tag: &'static str,
+    jitter: std::ops::Range<u64>,
+) -> impl Strategy<Value = KernelDesc> {
     (
         proptest::collection::vec(arb_segment(), 1..8).prop_filter("needs instructions", |segs| {
             segs.iter().map(|s| u64::from(s.insts())).sum::<u64>() > 0
@@ -32,13 +45,41 @@ fn arb_kernel(tag: &'static str) -> impl Strategy<Value = KernelDesc> {
         1u32..48, // grid blocks
         1u32..5,  // warps per block
         8u32..32, // regs per thread
-        0u64..3,  // jitter bucket
+        jitter,
     )
         .prop_map(move |(segs, grid, warps, regs, jit)| {
             KernelDesc::builder(tag)
                 .grid_blocks(grid)
                 .threads_per_block(warps * 32)
                 .regs_per_thread(regs)
+                .program(Program::new(segs))
+                .jitter_pct(jit as f64 * 0.15)
+                .build()
+                .expect("generated kernels are valid")
+        })
+}
+
+/// A small jittered kernel of compute and shared-memory segments only.
+/// Nothing stalls its warps, so a lone block finishes exactly when its
+/// issue pipeline says it does — the case where a kernel-finish bound that
+/// is off by one issue chunk becomes visible.
+fn arb_issue_bound_kernel(tag: &'static str) -> impl Strategy<Value = KernelDesc> {
+    (
+        proptest::collection::vec(
+            prop_oneof![
+                (1u32..200).prop_map(Segment::compute),
+                (1u32..30).prop_map(|n| Segment::Shared { insts: n }),
+            ],
+            1..4,
+        ),
+        1u32..3, // grid blocks
+        1u32..3, // warps per block
+        1u64..3, // jitter bucket
+    )
+        .prop_map(move |(segs, grid, warps, jit)| {
+            KernelDesc::builder(tag)
+                .grid_blocks(grid)
+                .threads_per_block(warps * 32)
                 .program(Program::new(segs))
                 .jitter_pct(jit as f64 * 0.15)
                 .build()
@@ -179,6 +220,68 @@ proptest! {
         let got = run(seed, num_sms, l1_bucket, &ka, &kb, ExecMode::Event);
         prop_assert_eq!(&got.0, &reference.0, "events diverged from scan reference");
         prop_assert_eq!(&got.1, &reference.1, "stats diverged from scan reference");
+    }
+
+    /// The kernel-finish bound that caps batched issue and the parallel
+    /// pure phase under break-on-kernel-finish is a *lower* bound: no kernel
+    /// of a reference `Scan` run finishes before the bound computed at
+    /// launch, nor before the bound recomputed at any later run boundary
+    /// (with resident blocks part-way through, switched-out snapshots
+    /// waiting to resume and jitter making block lengths unequal). Both
+    /// issue-chunk sizes matter: a block completes on the tick that issues
+    /// its last chunk. The second kernel never stalls, so the bound at
+    /// launch is often tight for it.
+    #[test]
+    fn kernel_finish_bound_is_sound(
+        seed in 0u64..1_000_000,
+        num_sms in 2usize..5,
+        wide_chunk in any::<bool>(),
+        switch_sm0 in any::<bool>(),
+        window in 2_000u64..50_000,
+        ka in arb_kernel_jitter("bound_a", 1..3),
+        kb in arb_issue_bound_kernel("bound_b"),
+    ) {
+        let cfg = GpuConfig {
+            num_sms,
+            issue_chunk: if wide_chunk { 8 } else { 1 },
+            ..GpuConfig::tiny()
+        };
+        let mut e = Engine::with_seed(cfg, seed);
+        e.set_exec_mode(ExecMode::Scan);
+        e.set_break_on_kernel_finish(true);
+        let a = e.launch_kernel(ka);
+        let b = e.launch_kernel(kb);
+        for sm in 0..num_sms {
+            e.assign_sm(sm, Some(if sm % 2 == 0 { a } else { b }));
+        }
+        let mut round = 0u64;
+        while !(e.kernel_stats(a).finished && e.kernel_stats(b).finished) {
+            let from = e.cycle();
+            let bound = e.kernel_finish_lower_bound(from);
+            for ev in e.run_for(window) {
+                if let Event::KernelFinished { kernel } = ev {
+                    let at = e.kernel_stats(kernel).finished_at.expect("finished kernel");
+                    prop_assert!(
+                        at >= bound,
+                        "{:?} finished at {} before the bound {} computed at {}",
+                        kernel, at, bound, from
+                    );
+                }
+            }
+            // Every fourth boundary, switch SM 0 out and straight back in,
+            // so later bounds also cover resume snapshots.
+            round += 1;
+            if switch_sm0
+                && round.is_multiple_of(4)
+                && e.sm_resident_count(0) > 0
+                && !e.sm_is_preempting(0)
+            {
+                let plan = SmPreemptPlan::uniform(e.sm_resident_indices(0), Technique::Switch);
+                e.preempt_sm(0, &plan).expect("switch is always legal");
+                e.assign_sm(0, Some(a));
+            }
+            prop_assert!(round < 100_000, "kernels did not finish");
+        }
     }
 
     /// Two independent engine instances ("devices") produce the same
