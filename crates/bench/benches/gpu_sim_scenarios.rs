@@ -29,8 +29,8 @@
 
 use std::io::Write as _;
 
-use chimera::runner::cluster::{run_serve_cluster, ClusterServeConfig, Placement};
-use chimera::runner::serve::{run_serve_on, ArrivalProcess, ServeConfig};
+use chimera::runner::cluster::{device_builder, run_serve_devices, Placement};
+use chimera::runner::serve::{ArrivalProcess, ServeConfig};
 use chimera::select::{select_preemptions, SelectionRequest};
 use chimera::{EstimatorConfig, GpuScheduler, ObsBank, PartitionPolicy};
 use criterion::{BenchmarkId, Criterion, Throughput};
@@ -239,18 +239,26 @@ fn serve_open_loop(mode: ExecMode, horizon: u64) -> Outcome {
     let scfg = ServeConfig::paper_default()
         .horizon_us(cfg.cycles_to_us(horizon))
         .arrivals(ArrivalProcess::poisson(1.5 * wl.saturation_per_ms()));
-    let mut gpu = GpuScheduler::builder(cfg.clone())
-        .policy(scfg.effective_policy())
-        .partition(PartitionPolicy::SmartEven)
-        .seed(7)
-        .scan_scheduler(mode == ExecMode::Scan)
-        .par_shards(match mode {
-            ExecMode::Parallel { shards } => shards,
-            _ => 0,
-        })
-        .build();
-    std::hint::black_box(run_serve_on(&mut gpu, &wl, &scfg));
-    fingerprint(gpu.engine())
+    let gpu = in_mode(
+        GpuScheduler::builder(cfg.clone())
+            .policy(scfg.effective_policy())
+            .partition(PartitionPolicy::SmartEven)
+            .seed(7),
+        mode,
+    );
+    let run = run_serve_devices(vec![gpu], &wl, &scfg, Placement::RoundRobin);
+    std::hint::black_box(run.serve_result(0));
+    fingerprint(run.into_schedulers()[0].engine())
+}
+
+/// Build a scheduler whose engine runs in `mode`.
+fn in_mode(b: chimera::GpuSchedulerBuilder, mode: ExecMode) -> GpuScheduler {
+    match mode {
+        ExecMode::Scan => b.scan_scheduler(true),
+        ExecMode::Parallel { shards } => b.par_shards(shards),
+        ExecMode::Event => b,
+    }
+    .build()
 }
 
 /// The cluster front-end over two devices with least-loaded placement at
@@ -266,11 +274,11 @@ fn serve_open_loop_2dev(mode: ExecMode, horizon: u64) -> Outcome {
         .horizon_us(cfg.cycles_to_us(horizon))
         .arrivals(ArrivalProcess::poisson(2.0 * 1.5 * wl.saturation_per_ms()))
         .seed(7);
-    let mut ccfg = ClusterServeConfig::new(scfg, 2).placement(Placement::LeastLoaded);
-    ccfg.exec_mode = Some(mode);
-    let res = run_serve_cluster(&cfg, &wl, &ccfg);
-    // No engine to fingerprint (the cluster owns its schedulers), so fold
-    // the result counters into the equivalence fingerprint instead.
+    let gpus = (0..2)
+        .map(|d| in_mode(device_builder(&cfg, &scfg, d), mode))
+        .collect();
+    let res = run_serve_devices(gpus, &wl, &scfg, Placement::LeastLoaded).cluster_result();
+    // Fold the cluster's result counters into the equivalence fingerprint.
     Outcome {
         cycle: horizon,
         issued: res.completed + (res.violations << 32),

@@ -7,7 +7,7 @@ use bench::report::{f1, f2};
 use bench::scenarios::{multiprog_matrix, multiprog_suite, write_observability};
 use bench::{RunArgs, Table};
 use chimera::policy::Policy;
-use chimera::runner::cluster::Placement;
+use chimera::runner::cluster::imbalance;
 
 fn main() {
     let args = RunArgs::from_env();
@@ -58,18 +58,11 @@ fn main() {
         let mut dev_pairs = vec![Vec::new(); args.devices];
         for (i, (fcfs, per_policy)) in m.rows.iter().enumerate() {
             let stp = per_policy[chim].stp;
-            let d = match args.placement {
-                Placement::RoundRobin => i % args.devices,
-                Placement::LeastLoaded => (0..args.devices)
-                    .min_by(|&a, &b| dev_stp[a].total_cmp(&dev_stp[b]).then(a.cmp(&b)))
-                    .expect("at least one device"),
-                Placement::TenantAffine => {
-                    fcfs.other
-                        .bytes()
-                        .fold(0usize, |h, b| h.wrapping_mul(31).wrapping_add(b as usize))
-                        % args.devices
-                }
-            };
+            let key = fcfs
+                .other
+                .bytes()
+                .fold(0usize, |h, b| h.wrapping_mul(31).wrapping_add(b as usize));
+            let d = args.placement.pick(i, key, &dev_stp);
             dev_stp[d] += stp;
             dev_pairs[d].push(fcfs.other.clone());
         }
@@ -89,15 +82,7 @@ fn main() {
             ]);
         }
         print!("{t}");
-        let mean = dev_stp.iter().sum::<f64>() / dev_stp.len() as f64;
-        let imbalance = if mean > 0.0 {
-            let max = dev_stp.iter().cloned().fold(f64::MIN, f64::max);
-            let min = dev_stp.iter().cloned().fold(f64::MAX, f64::min);
-            (max - min) / mean
-        } else {
-            0.0
-        };
-        println!("\ninter-device STP imbalance: {}", f2(imbalance));
+        println!("\ninter-device STP imbalance: {}", f2(imbalance(&dev_stp)));
     }
     write_observability(&args, &suite, 30.0);
 }

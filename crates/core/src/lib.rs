@@ -55,6 +55,7 @@ pub mod metrics;
 pub mod obs;
 pub mod partition;
 pub mod policy;
+mod preemptor;
 pub mod runner;
 pub mod scheduler;
 pub mod select;
@@ -65,8 +66,8 @@ pub use obs::{accuracy_per_kernel, drain_accuracy, DrainSample, DrainTracker, Ke
 pub use partition::PartitionPolicy;
 pub use policy::Policy;
 pub use runner::serve::{
-    run_serve, run_serve_on, run_serve_traced, AdmissionConfig, ArrivalProcess, ServeConfig,
-    ServeResult, TenantOutcome,
+    run_serve, run_serve_traced, AdmissionConfig, ArrivalProcess, ServeConfig, ServeResult,
+    TenantOutcome,
 };
 pub use runner::RunCommon;
 pub use scheduler::{GpuScheduler, GpuSchedulerBuilder, ProcId, SchedEvent};

@@ -89,7 +89,7 @@ pub fn drain_accuracy(engine: &Engine) -> Vec<KernelAccuracy> {
                 ..
             } => {
                 let name = crate::runner::periodic_name(&engine.kernel_stats(kernel).name);
-                tracker.note_completion(&name, sm, kernel.0, block, cycle);
+                tracker.note_completion(name, sm, kernel.0, block, cycle);
             }
             _ => {}
         }
@@ -128,9 +128,12 @@ impl DrainSample {
 /// Algorithm 1 picks drain, [`note_completion`](Self::note_completion) on
 /// every block completion — and accumulates joined samples in completion
 /// order, bounded by the number of drained blocks rather than the log
-/// capacity. The periodic runner carries one and returns its samples in
+/// capacity. Every runner's preemption executor carries one: the periodic
+/// runner returns its samples in
 /// [`PeriodicResult`](crate::runner::periodic::PeriodicResult), which is what
-/// the `est-accuracy` binary reports live-vs-static error from.
+/// the `est-accuracy` binary reports live-vs-static error from, and
+/// [`GpuScheduler::drain_samples`](crate::GpuScheduler::drain_samples)
+/// exposes the serving runs' join.
 #[derive(Debug, Clone, Default)]
 pub struct DrainTracker {
     /// (sm, kernel, block) -> (decision cycle, predicted drain cycles).
@@ -168,6 +171,10 @@ impl DrainTracker {
         block: u32,
         cycle: u64,
     ) {
+        // Most completions join nothing; skip the hash when nothing waits.
+        if self.pending.is_empty() {
+            return;
+        }
         if let Some((t0, est)) = self.pending.remove(&(sm, kernel, block)) {
             self.samples.push(DrainSample {
                 kernel: kernel_name.to_string(),

@@ -6,24 +6,24 @@
 //! interesting questions move up a level — how should the front door *place*
 //! requests, and how unevenly does load land? This module answers them with
 //! the smallest faithful model: N fully independent [`GpuScheduler`]s
-//! stepped in lockstep by one front-end loop, with a pluggable
-//! [`Placement`] policy routing every arrival to exactly one device at
-//! admission time. Below the placement decision each device reuses the
-//! exact per-device serve mechanics (tenant queues, admission control,
-//! weighted-fair lanes), so single-device behaviour is unchanged and the
-//! cluster run degenerates to the serve runner at `devices = 1`.
+//! stepped in lockstep by one front-end loop ([`run_serve_devices`]), with
+//! a pluggable [`Placement`] policy routing every arrival to exactly one
+//! device at admission time. Below the placement decision each device runs
+//! the per-device serve mechanics (tenant queues, admission control,
+//! weighted-fair lanes). This is the only serving loop: the single-device
+//! serve runner is its one-device projection ([`ServeRun::serve_result`]).
 //!
 //! Determinism: the arrival stream is materialised once by
-//! [`materialize_arrivals`] (a pure function of workload and config), the
+//! `materialize_arrivals` (a pure function of workload and config), the
 //! devices are stepped in index order with identical `run_for_us` step
 //! sequences (so their clocks stay in lockstep), and every placement policy
 //! breaks ties by lower device index. A cluster sweep is therefore
 //! byte-identical across worker-thread counts, like every other runner.
 
 use crate::runner::serve::{
-    materialize_arrivals, obs_id, slack_quantile, Pending, ServeConfig, ServeResult,
+    materialize_arrivals, obs_id, slack_quantile, Pending, ServeConfig, ServeResult, TenantOutcome,
 };
-use crate::scheduler::{GpuScheduler, ProcId, SchedEvent};
+use crate::scheduler::{GpuScheduler, GpuSchedulerBuilder, ProcId, SchedEvent};
 use gpu_sim::rng::hash_combine;
 use gpu_sim::{GpuConfig, ShedReason};
 use std::collections::VecDeque;
@@ -64,6 +64,22 @@ impl Placement {
         }
     }
 
+    /// The device for the `seq`-th placed item with affinity `key` (a
+    /// tenant index, or a hash of a name), given each device's current
+    /// load. Round-robin goes by `seq`, least-loaded by `loads` (ties to
+    /// the lower index), tenant-affine by `key`; `loads.len()` is the
+    /// device count and must be positive.
+    pub fn pick(&self, seq: usize, key: usize, loads: &[f64]) -> usize {
+        let n = loads.len();
+        match self {
+            Placement::RoundRobin => seq % n,
+            Placement::LeastLoaded => (0..n)
+                .min_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)))
+                .expect("at least one device"),
+            Placement::TenantAffine => key % n,
+        }
+    }
+
     /// Canonical name, matching [`parse`](Self::parse).
     pub fn name(&self) -> &'static str {
         match self {
@@ -86,11 +102,6 @@ pub struct ClusterServeConfig {
     pub devices: usize,
     /// Arrival routing policy.
     pub placement: Placement,
-    /// Engine execution-mode override for every device. `None` (the
-    /// default) derives the mode from `serve.common` like the other
-    /// runners; benches use `Some` to drive the cluster through a specific
-    /// mode. Results are byte-identical for every choice (`PARALLELISM.md`).
-    pub exec_mode: Option<gpu_sim::ExecMode>,
 }
 
 impl ClusterServeConfig {
@@ -101,7 +112,6 @@ impl ClusterServeConfig {
             serve,
             devices,
             placement: Placement::RoundRobin,
-            exec_mode: None,
         }
     }
 
@@ -173,8 +183,44 @@ pub struct ClusterServeResult {
     pub slack_p99_us: Option<f64>,
 }
 
-/// The serve-loop state of one device: its scheduler plus the tenant
-/// queues, lanes and counters of the single-device serve runner.
+/// The scheduler builder for device `d` of a serving run over `scfg`: the
+/// policy, partition, estimator, seed and engine knobs that
+/// [`run_serve`](crate::runner::serve::run_serve) and [`run_serve_cluster`]
+/// use. Callers of [`run_serve_devices`] adjust it (an execution mode, an
+/// event log) before building.
+///
+/// Device 0 keeps the configured seed, so a one-device cluster is the serve
+/// runner exactly; further devices get salted seeds for independent
+/// engine-internal draws, still a pure function of the config.
+pub fn device_builder(cfg: &GpuConfig, scfg: &ServeConfig, d: usize) -> GpuSchedulerBuilder {
+    let seed = if d == 0 {
+        scfg.common.seed
+    } else {
+        hash_combine(&[scfg.common.seed, SALT_DEVICE, d as u64])
+    };
+    GpuScheduler::builder(cfg.clone())
+        .policy(scfg.effective_policy())
+        .partition(scfg.partition.clone())
+        .estimator(scfg.common.estimator)
+        .seed(seed)
+        .par_shards(scfg.common.par_shards)
+        .race_check(scfg.common.race_check)
+}
+
+/// Per-tenant counters of one device.
+#[derive(Debug, Clone, Default)]
+struct TenantCounts {
+    offered: u64,
+    admitted: u64,
+    shed: u64,
+    completed: u64,
+    violations: u64,
+    ntt_sum: f64,
+}
+
+/// The serve-loop state of one device: its scheduler plus tenant queues,
+/// dispatch lanes and counters.
+#[derive(Debug)]
 struct DeviceState {
     gpu: GpuScheduler,
     lanes: Vec<ProcId>,
@@ -182,39 +228,43 @@ struct DeviceState {
     queues: Vec<VecDeque<Pending>>,
     queued_service_us: f64,
     inflight_service_us: f64,
+    /// Dispatched service time per tenant: the weighted-fair key.
     served_by_tenant_us: Vec<f64>,
-    offered: u64,
-    admitted: u64,
-    shed: u64,
-    completed: u64,
-    deadline_met: u64,
-    violations: u64,
+    tenants: Vec<TenantCounts>,
+    shed_queue_full: u64,
+    shed_infeasible: u64,
     shed_late: u64,
+    deadline_met: u64,
+    max_queue_depth: usize,
+    /// Completed service time, µs, summed in completion order.
     served_us: f64,
+    /// Normalized turnaround summed over completions, in completion order.
     ntt_sum: f64,
     slacks: Vec<f64>,
 }
 
 impl DeviceState {
-    fn new(gpu: GpuScheduler, lanes: usize, tenants: usize) -> Self {
-        let mut gpu = gpu;
+    fn new(mut gpu: GpuScheduler, lanes: usize, tenants: usize) -> Self {
+        assert_eq!(
+            gpu.num_processes(),
+            0,
+            "the serve loop needs fresh schedulers"
+        );
         let lanes: Vec<ProcId> = (0..lanes).map(|_| gpu.add_process()).collect();
-        let lane_req = vec![None; lanes.len()];
         DeviceState {
             gpu,
+            lane_req: vec![None; lanes.len()],
             lanes,
-            lane_req,
             queues: vec![VecDeque::new(); tenants],
             queued_service_us: 0.0,
             inflight_service_us: 0.0,
             served_by_tenant_us: vec![0.0; tenants],
-            offered: 0,
-            admitted: 0,
-            shed: 0,
-            completed: 0,
-            deadline_met: 0,
-            violations: 0,
+            tenants: vec![TenantCounts::default(); tenants],
+            shed_queue_full: 0,
+            shed_infeasible: 0,
             shed_late: 0,
+            deadline_met: 0,
+            max_queue_depth: 0,
             served_us: 0.0,
             ntt_sum: 0.0,
             slacks: Vec::new(),
@@ -226,41 +276,54 @@ impl DeviceState {
         self.queued_service_us + self.inflight_service_us
     }
 
-    /// Offer one arrival to this device's admission control — the same
-    /// queue-cap and feasibility tests as the single-device serve loop.
+    fn total(&self, f: impl Fn(&TenantCounts) -> u64) -> u64 {
+        self.tenants.iter().map(f).sum()
+    }
+
+    /// Offer one arrival to this device's admission control: the tenant
+    /// queue cap, then the feasibility of the deadline behind the backlog
+    /// (queued plus in flight, drained across the lanes).
     fn admit(&mut self, p: Pending, cfg: &GpuConfig, scfg: &ServeConfig) {
         let tenant = p.tenant;
-        self.offered += 1;
+        let id = obs_id(tenant, "tenant");
+        self.tenants[tenant].offered += 1;
         self.gpu.record_request_arrival(
             p.req,
-            obs_id(tenant, "tenant"),
+            id,
             obs_id(p.class_ix, "class"),
             cfg.us_to_cycles(p.deadline_us),
         );
         if self.queues[tenant].len() >= scfg.admission.queue_cap {
-            self.shed += 1;
+            self.shed_queue_full += 1;
+            self.tenants[tenant].shed += 1;
             self.gpu
-                .record_request_shed(p.req, obs_id(tenant, "tenant"), ShedReason::QueueFull);
+                .record_request_shed(p.req, id, ShedReason::QueueFull);
             return;
         }
         let backlog = self.backlog_us() / self.lanes.len() as f64;
         if scfg.admission.shed_infeasible && backlog + p.service_us > p.deadline_us - p.arrival_us {
-            self.shed += 1;
+            self.shed_infeasible += 1;
+            self.tenants[tenant].shed += 1;
             self.gpu
-                .record_request_shed(p.req, obs_id(tenant, "tenant"), ShedReason::Infeasible);
+                .record_request_shed(p.req, id, ShedReason::Infeasible);
             return;
         }
-        self.admitted += 1;
+        self.tenants[tenant].admitted += 1;
         self.queued_service_us += p.service_us;
-        self.queues[tenant].push_back(p.clone());
-        let depth = u32::try_from(self.queues[tenant].len()).unwrap_or(u32::MAX);
+        let req = p.req;
+        self.queues[tenant].push_back(p);
+        let depth = self.queues[tenant].len();
+        self.max_queue_depth = self.max_queue_depth.max(depth);
+        // The queue-depth gauge is diagnostic; saturate rather than panic
+        // if a cap-less config ever exceeds u32.
         self.gpu
-            .record_request_admitted(p.req, obs_id(tenant, "tenant"), depth);
+            .record_request_admitted(req, id, u32::try_from(depth).unwrap_or(u32::MAX));
     }
 
     /// Fill free lanes weighted-fair across tenants (least weighted
     /// service wins, ties to the lower tenant index), shedding requests
-    /// already past their deadline.
+    /// already past their deadline. `total_cmp`: a degenerate workload spec
+    /// (NaN/zero service times) must starve fairness, not panic the loop.
     fn dispatch(&mut self, now_us: f64, wl: &ServeWorkload, tenant_weights: &[u32]) {
         let nt = self.queues.len();
         for lane in 0..self.lanes.len() {
@@ -279,8 +342,8 @@ impl DeviceState {
                 let p = self.queues[tenant].pop_front().expect("non-empty queue");
                 self.queued_service_us -= p.service_us;
                 if now_us + p.service_us > p.deadline_us {
-                    self.shed += 1;
                     self.shed_late += 1;
+                    self.tenants[tenant].shed += 1;
                     self.gpu
                         .record_request_shed(p.req, obs_id(tenant, "tenant"), ShedReason::Late);
                     continue;
@@ -315,26 +378,216 @@ impl DeviceState {
                     .expect("finished kernel has a finish cycle");
                 let finish_us = cfg.cycles_to_us(finish_cycle);
                 let slack = p.deadline_us - finish_us;
+                let ntt = (finish_us - p.arrival_us) / p.service_us.max(1e-9);
                 self.slacks.push(slack);
-                self.completed += 1;
                 self.served_us += p.service_us;
-                self.ntt_sum += (finish_us - p.arrival_us) / p.service_us.max(1e-9);
+                self.ntt_sum += ntt;
+                let t = &mut self.tenants[p.tenant];
+                t.completed += 1;
+                t.ntt_sum += ntt;
                 if slack >= 0.0 {
                     self.deadline_met += 1;
                 } else {
-                    self.violations += 1;
+                    t.violations += 1;
                 }
             }
         }
     }
 }
 
-/// Run an open-loop serving experiment over a cluster of independent GPUs.
+/// A finished serving run: every device's scheduler and counters, with
+/// the single-device ([`ServeResult`]) and cluster
+/// ([`ClusterServeResult`]) projections.
+#[derive(Debug)]
+pub struct ServeRun {
+    devices: Vec<DeviceState>,
+    horizon_us: f64,
+    tenant_names: Vec<String>,
+}
+
+impl ServeRun {
+    /// The serving result of one device, as [`run_serve`] reports it.
+    ///
+    /// [`run_serve`]: crate::runner::serve::run_serve
+    pub fn serve_result(&self, device: usize) -> ServeResult {
+        let dev = &self.devices[device];
+        let offered = dev.total(|t| t.offered);
+        let admitted = dev.total(|t| t.admitted);
+        let completed = dev.total(|t| t.completed);
+        let violations = dev.total(|t| t.violations);
+        let horizon_s = self.horizon_us / 1e6;
+        // `total_cmp` orders NaN slacks (possible only with a degenerate
+        // workload spec) after every finite value instead of panicking.
+        let mut slacks = dev.slacks.clone();
+        slacks.sort_by(f64::total_cmp);
+        let tenants = self
+            .tenant_names
+            .iter()
+            .zip(&dev.tenants)
+            .map(|(name, t)| TenantOutcome {
+                name: name.clone(),
+                offered: t.offered,
+                admitted: t.admitted,
+                shed: t.shed,
+                completed: t.completed,
+                violations: t.violations,
+                antt: (t.completed > 0).then(|| t.ntt_sum / t.completed as f64),
+                violation_share: if violations > 0 {
+                    t.violations as f64 / violations as f64
+                } else {
+                    0.0
+                },
+            })
+            .collect();
+        ServeResult {
+            offered,
+            admitted,
+            shed_queue_full: dev.shed_queue_full,
+            shed_infeasible: dev.shed_infeasible,
+            shed_late: dev.shed_late,
+            completed,
+            deadline_met: dev.deadline_met,
+            violations,
+            unfinished: admitted - completed - dev.shed_late,
+            offered_per_s: offered as f64 / horizon_s,
+            goodput_per_s: dev.deadline_met as f64 / horizon_s,
+            slack_p50_us: slack_quantile(&slacks, 0.50),
+            slack_p99_us: slack_quantile(&slacks, 0.99),
+            slack_p999_us: slack_quantile(&slacks, 0.999),
+            max_queue_depth: dev.max_queue_depth,
+            tenants,
+        }
+    }
+
+    /// The cluster-level result over every device.
+    pub fn cluster_result(&self) -> ClusterServeResult {
+        let horizon_us = self.horizon_us;
+        let devices: Vec<DeviceOutcome> = self
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(d, dev)| {
+                let admitted = dev.total(|t| t.admitted);
+                let completed = dev.total(|t| t.completed);
+                DeviceOutcome {
+                    device: d,
+                    offered: dev.total(|t| t.offered),
+                    admitted,
+                    shed: dev.total(|t| t.shed),
+                    completed,
+                    violations: dev.total(|t| t.violations),
+                    unfinished: admitted - completed - dev.shed_late,
+                    served_us: dev.served_us,
+                    stp: dev.served_us / horizon_us,
+                    antt: (completed > 0).then(|| dev.ntt_sum / completed as f64),
+                }
+            })
+            .collect();
+        let sum = |f: fn(&DeviceOutcome) -> u64| devices.iter().map(f).sum::<u64>();
+        let completed = sum(|d| d.completed);
+        let deadline_met: u64 = self.devices.iter().map(|d| d.deadline_met).sum();
+        let ntt_sum: f64 = self.devices.iter().map(|d| d.ntt_sum).sum();
+        let served: Vec<f64> = devices.iter().map(|d| d.served_us).collect();
+        let mut slacks: Vec<f64> = self
+            .devices
+            .iter()
+            .flat_map(|d| d.slacks.iter().copied())
+            .collect();
+        slacks.sort_by(f64::total_cmp);
+        ClusterServeResult {
+            offered: sum(|d| d.offered),
+            admitted: sum(|d| d.admitted),
+            shed: sum(|d| d.shed),
+            completed,
+            violations: sum(|d| d.violations),
+            goodput_per_s: deadline_met as f64 / (horizon_us / 1e6),
+            stp: served.iter().sum::<f64>() / horizon_us,
+            antt: (completed > 0).then(|| ntt_sum / completed as f64),
+            imbalance: imbalance(&served),
+            slack_p50_us: slack_quantile(&slacks, 0.50),
+            slack_p99_us: slack_quantile(&slacks, 0.99),
+            devices,
+        }
+    }
+
+    /// The devices' schedulers, in device order.
+    pub fn into_schedulers(self) -> Vec<GpuScheduler> {
+        self.devices.into_iter().map(|d| d.gpu).collect()
+    }
+}
+
+/// The serving loop, on caller-built schedulers (one per device; each must
+/// have no processes registered yet — the loop adds one per lane, and all
+/// must share one [`GpuConfig`]). Build them with [`device_builder`] to get
+/// the runners' seeds and knobs.
 ///
-/// One arrival stream is materialised for the whole cluster; the placement
-/// policy routes each arrival to a device, whose own admission control and
+/// One arrival stream is materialised for the whole run; `placement`
+/// routes each arrival to a device, whose own admission control and
 /// weighted-fair dispatcher take it from there. Devices are stepped in
-/// lockstep, so the run is deterministic in device order.
+/// lockstep by identical `run_for_us` sequences, so the run is
+/// deterministic in device order.
+pub fn run_serve_devices(
+    gpus: Vec<GpuScheduler>,
+    wl: &ServeWorkload,
+    scfg: &ServeConfig,
+    placement: Placement,
+) -> ServeRun {
+    assert!(!gpus.is_empty(), "a serving run needs at least one device");
+    assert!(!wl.classes.is_empty() && !wl.tenants.is_empty());
+    let cfg = gpus[0].engine().config().clone();
+    let horizon_us = scfg.common.horizon_us;
+    let tenant_weights: Vec<u32> = wl.tenants.iter().map(|t| t.weight).collect();
+    let arrivals = materialize_arrivals(wl, scfg);
+    let mut devs: Vec<DeviceState> = gpus
+        .into_iter()
+        .map(|gpu| DeviceState::new(gpu, scfg.lanes, wl.tenants.len()))
+        .collect();
+    let mut loads = vec![0.0f64; devs.len()];
+
+    let mut next_arrival = 0usize;
+    loop {
+        // All devices share one clock: identical step sequences keep them
+        // in lockstep, so any device's cycle is "now".
+        let now_us = cfg.cycles_to_us(devs[0].gpu.cycle());
+        while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_us <= now_us {
+            let p = arrivals[next_arrival].clone();
+            for (load, dev) in loads.iter_mut().zip(&devs) {
+                *load = dev.backlog_us();
+            }
+            let d = placement.pick(next_arrival, p.tenant, &loads);
+            next_arrival += 1;
+            devs[d].admit(p, &cfg, scfg);
+        }
+        for dev in devs.iter_mut() {
+            dev.dispatch(now_us, wl, &tenant_weights);
+        }
+        if now_us >= horizon_us {
+            break;
+        }
+        // Advance to the next decision point: the next arrival, the
+        // scheduler's own 5 µs tick, or the horizon — whichever is first.
+        let mut target = horizon_us.min(now_us + 5.0);
+        if next_arrival < arrivals.len() {
+            target = target.min(arrivals[next_arrival].arrival_us);
+        }
+        let step_us = (target - now_us).max(0.01);
+        for dev in devs.iter_mut() {
+            dev.advance(step_us, &cfg);
+        }
+    }
+
+    for (d, dev) in devs.iter().enumerate() {
+        super::assert_race_clean(dev.gpu.engine(), &format!("run_serve device {d}"));
+    }
+    ServeRun {
+        devices: devs,
+        horizon_us,
+        tenant_names: wl.tenants.iter().map(|t| t.name.clone()).collect(),
+    }
+}
+
+/// Run an open-loop serving experiment over a cluster of independent GPUs
+/// ([`run_serve_devices`] over [`device_builder`] schedulers).
 ///
 /// ```no_run
 /// use chimera::runner::cluster::{run_serve_cluster, ClusterServeConfig, Placement};
@@ -355,150 +608,23 @@ pub fn run_serve_cluster(
     ccfg: &ClusterServeConfig,
 ) -> ClusterServeResult {
     assert!(ccfg.devices > 0, "a cluster needs at least one device");
-    assert!(!wl.classes.is_empty() && !wl.tenants.is_empty());
-    let scfg = &ccfg.serve;
-    let horizon_us = scfg.common.horizon_us;
-    let tenant_weights: Vec<u32> = wl.tenants.iter().map(|t| t.weight).collect();
-    let arrivals = materialize_arrivals(wl, scfg);
-
-    let mut devs: Vec<DeviceState> = (0..ccfg.devices)
-        .map(|d| {
-            // Device 0 keeps the configured seed so a one-device cluster
-            // reproduces the serve runner exactly; further devices get
-            // salted seeds for independent engine-internal draws, still a
-            // pure function of the config.
-            let seed = if d == 0 {
-                scfg.common.seed
-            } else {
-                hash_combine(&[scfg.common.seed, SALT_DEVICE, d as u64])
-            };
-            let mut b = GpuScheduler::builder(cfg.clone())
-                .policy(scfg.effective_policy())
-                .partition(scfg.partition.clone())
-                .estimator(scfg.common.estimator)
-                .seed(seed);
-            b = match ccfg.exec_mode {
-                Some(gpu_sim::ExecMode::Scan) => b.scan_scheduler(true),
-                Some(gpu_sim::ExecMode::Parallel { shards }) => b.par_shards(shards),
-                Some(gpu_sim::ExecMode::Event) => b,
-                None => b.par_shards(scfg.common.par_shards),
-            };
-            b = b.race_check(scfg.common.race_check);
-            let gpu = b.build();
-            DeviceState::new(gpu, scfg.lanes, wl.tenants.len())
-        })
+    let gpus = (0..ccfg.devices)
+        .map(|d| device_builder(cfg, &ccfg.serve, d).build())
         .collect();
+    run_serve_devices(gpus, wl, &ccfg.serve, ccfg.placement).cluster_result()
+}
 
-    let mut rr_next = 0usize;
-    let mut next_arrival = 0usize;
-    loop {
-        // All devices share one clock: identical step sequences keep them
-        // in lockstep, so any device's cycle is "now".
-        let now_us = cfg.cycles_to_us(devs[0].gpu.cycle());
-        while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_us <= now_us {
-            let p = arrivals[next_arrival].clone();
-            next_arrival += 1;
-            let d = match ccfg.placement {
-                Placement::RoundRobin => {
-                    let d = rr_next;
-                    rr_next = (rr_next + 1) % devs.len();
-                    d
-                }
-                Placement::LeastLoaded => (0..devs.len())
-                    .min_by(|&a, &b| {
-                        devs[a]
-                            .backlog_us()
-                            .total_cmp(&devs[b].backlog_us())
-                            .then(a.cmp(&b))
-                    })
-                    .expect("at least one device"),
-                Placement::TenantAffine => p.tenant % devs.len(),
-            };
-            devs[d].admit(p, cfg, scfg);
-        }
-        for dev in devs.iter_mut() {
-            dev.dispatch(now_us, wl, &tenant_weights);
-        }
-        if now_us >= horizon_us {
-            break;
-        }
-        let mut target = horizon_us.min(now_us + 5.0);
-        if next_arrival < arrivals.len() {
-            target = target.min(arrivals[next_arrival].arrival_us);
-        }
-        let step_us = (target - now_us).max(0.01);
-        for dev in devs.iter_mut() {
-            dev.advance(step_us, cfg);
-        }
-    }
-
-    for (d, dev) in devs.iter().enumerate() {
-        super::assert_race_clean(dev.gpu.engine(), &format!("run_cluster device {d}"));
-    }
-    let horizon_s = horizon_us / 1e6;
-    let devices: Vec<DeviceOutcome> = devs
-        .iter()
-        .enumerate()
-        .map(|(d, dev)| DeviceOutcome {
-            device: d,
-            offered: dev.offered,
-            admitted: dev.admitted,
-            shed: dev.shed,
-            completed: dev.completed,
-            violations: dev.violations,
-            unfinished: dev.admitted - dev.completed - dev.shed_late,
-            served_us: dev.served_us,
-            stp: dev.served_us / horizon_us,
-            antt: (dev.completed > 0).then(|| dev.ntt_sum / dev.completed as f64),
-        })
-        .collect();
-    let offered: u64 = devices.iter().map(|d| d.offered).sum();
-    let admitted: u64 = devices.iter().map(|d| d.admitted).sum();
-    let shed: u64 = devices.iter().map(|d| d.shed).sum();
-    let completed: u64 = devices.iter().map(|d| d.completed).sum();
-    let violations: u64 = devices.iter().map(|d| d.violations).sum();
-    let deadline_met: u64 = devs.iter().map(|d| d.deadline_met).sum();
-    let ntt_sum: f64 = devs.iter().map(|d| d.ntt_sum).sum();
-    let served: Vec<f64> = devices.iter().map(|d| d.served_us).collect();
-    let mean = served.iter().sum::<f64>() / served.len() as f64;
-    let imbalance = if mean > 0.0 {
-        let max = served.iter().cloned().fold(f64::MIN, f64::max);
-        let min = served.iter().cloned().fold(f64::MAX, f64::min);
+/// Inter-device load imbalance: `(max − min) / mean` of the per-device
+/// loads; 0 by convention when there is no load at all.
+pub fn imbalance(loads: &[f64]) -> f64 {
+    let mean = loads.iter().sum::<f64>() / loads.len() as f64;
+    if mean > 0.0 {
+        let max = loads.iter().cloned().fold(f64::MIN, f64::max);
+        let min = loads.iter().cloned().fold(f64::MAX, f64::min);
         (max - min) / mean
     } else {
         0.0
-    };
-    let mut slacks: Vec<f64> = devs.iter().flat_map(|d| d.slacks.iter().copied()).collect();
-    slacks.sort_by(f64::total_cmp);
-    ClusterServeResult {
-        devices,
-        offered,
-        admitted,
-        shed,
-        completed,
-        violations,
-        goodput_per_s: deadline_met as f64 / horizon_s,
-        stp: served.iter().sum::<f64>() / horizon_us,
-        antt: (completed > 0).then(|| ntt_sum / completed as f64),
-        imbalance,
-        slack_p50_us: slack_quantile(&slacks, 0.50),
-        slack_p99_us: slack_quantile(&slacks, 0.99),
     }
-}
-
-/// Check that a single-device cluster run agrees with the plain serve
-/// runner on every shared counter — the cluster loop must be a faithful
-/// generalisation, not a fork.
-pub fn assert_degenerates_to_serve(cluster: &ClusterServeResult, serve: &ServeResult) {
-    assert_eq!(cluster.offered, serve.offered);
-    assert_eq!(cluster.admitted, serve.admitted);
-    assert_eq!(
-        cluster.shed,
-        serve.shed_queue_full + serve.shed_infeasible + serve.shed_late
-    );
-    assert_eq!(cluster.completed, serve.completed);
-    assert_eq!(cluster.violations, serve.violations);
-    assert_eq!(cluster.slack_p50_us, serve.slack_p50_us);
 }
 
 #[cfg(test)]
@@ -518,21 +644,39 @@ mod tests {
     #[test]
     fn one_device_cluster_matches_the_serve_runner() {
         let (cfg, wl, scfg) = small_cfg();
-        // The single device must see the scheduler seed the serve runner
-        // uses, not the device-salted one, for event-exact agreement on
-        // counters that depend on engine randomness.
+        // `run_serve` is the one-device projection of the serving loop; on
+        // one device every placement routes every arrival the same way.
         let serve = run_serve(&cfg, &wl, &scfg);
         for placement in [
             Placement::RoundRobin,
             Placement::LeastLoaded,
             Placement::TenantAffine,
         ] {
-            let ccfg = ClusterServeConfig::new(scfg.clone(), 1).placement(placement);
-            let cluster = run_serve_cluster(&cfg, &wl, &ccfg);
+            let gpu = device_builder(&cfg, &scfg, 0).build();
+            let run = run_serve_devices(vec![gpu], &wl, &scfg, placement);
+            assert_eq!(run.serve_result(0), serve);
+            let cluster = run.cluster_result();
             assert_eq!(cluster.devices.len(), 1);
             assert_eq!(cluster.imbalance, 0.0);
-            assert_degenerates_to_serve(&cluster, &serve);
+            assert_eq!(cluster.offered, serve.offered);
+            assert_eq!(cluster.completed, serve.completed);
+            assert_eq!(cluster.slack_p50_us, serve.slack_p50_us);
+            assert_eq!(
+                cluster.shed,
+                serve.shed_queue_full + serve.shed_infeasible + serve.shed_late
+            );
         }
+    }
+
+    #[test]
+    fn placement_pick_and_imbalance() {
+        let loads = [3.0, 1.0, 1.0];
+        assert_eq!(Placement::RoundRobin.pick(4, 0, &loads), 1);
+        assert_eq!(Placement::LeastLoaded.pick(0, 0, &loads), 1, "ties go low");
+        assert_eq!(Placement::TenantAffine.pick(0, 5, &loads), 2);
+        assert!((imbalance(&loads) - 2.0 / (5.0 / 3.0)).abs() < 1e-12);
+        assert_eq!(imbalance(&[0.0, 0.0]), 0.0);
+        assert_eq!(imbalance(&[]), 0.0);
     }
 
     #[test]

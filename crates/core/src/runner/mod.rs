@@ -11,33 +11,12 @@ pub mod solo;
 pub use common::RunCommon;
 pub use job::Job;
 
-use gpu_sim::{Engine, SmPreemptPlan, Technique};
+use gpu_sim::Engine;
 
 /// Statistics are keyed per kernel code: LUD's per-iteration launches are
 /// named `LUD.0#3` but share the `LUD.0` statistics registers.
-pub(crate) fn periodic_name(name: &str) -> String {
-    match name.find('#') {
-        Some(ix) => name[..ix].to_string(),
-        None => name.to_string(),
-    }
-}
-
-/// Flush an SM if every resident block is currently flushable; returns
-/// whether the SM was vacated (an empty SM counts as an instant win).
-pub(crate) fn periodic_try_flush(engine: &mut Engine, sm: usize) -> bool {
-    if engine.sm_is_preempting(sm) {
-        return false;
-    }
-    let snap = engine.sm_snapshot(sm);
-    if snap.blocks.is_empty() {
-        engine.assign_sm(sm, None);
-        return true;
-    }
-    if snap.blocks.iter().any(|b| b.past_idem_point) {
-        return false;
-    }
-    let plan = SmPreemptPlan::uniform(snap.blocks.iter().map(|b| b.index), Technique::Flush);
-    matches!(engine.preempt_sm(sm, &plan), Ok(true))
+pub(crate) fn periodic_name(name: &str) -> &str {
+    name.split_once('#').map_or(name, |(base, _)| base)
 }
 
 /// Panic with the full race report if the engine's shard-race sanitizer is

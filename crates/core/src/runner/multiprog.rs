@@ -8,13 +8,12 @@
 //! preemption requests served by the configured policy — LUD's launch churn
 //! is what makes these workloads preemption-heavy.
 
-use crate::cost::{EstimatorConfig, ObsBank};
+use crate::cost::EstimatorConfig;
 use crate::partition::PartitionPolicy;
 use crate::policy::Policy;
+use crate::preemptor::{InFlight, Preemptor};
 use crate::runner::{Job, RunCommon};
-use crate::select::{select_preemptions, SelectionRequest};
-use gpu_sim::{Engine, Event, GpuConfig, SmPreemptPlan, Technique};
-use std::collections::BTreeMap;
+use gpu_sim::{Engine, Event, GpuConfig};
 use workloads::Benchmark;
 
 /// Configuration of a multiprogrammed run.
@@ -111,12 +110,6 @@ pub struct PairOutcome {
     pub preemptions: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InFlight {
-    Preempting,
-    FlushWait { src: usize },
-}
-
 /// Run two benchmarks concurrently under `policy`.
 pub fn run_pair(
     cfg: &GpuConfig,
@@ -138,13 +131,11 @@ pub fn run_pair(
         Job::new(a.clone(), Some(mcfg.budget_insts)),
         Job::new(b.clone(), Some(mcfg.budget_insts)),
     ];
-    let mut obs = ObsBank::with_estimator(mcfg.common.estimator);
+    // Flush waits are tagged with the job whose kernel keeps the SM busy.
+    let mut pre = Preemptor::new(policy, mcfg.common.estimator);
     // Initial even ownership.
     let half = cfg.num_sms / 2;
     let mut owner: Vec<usize> = (0..cfg.num_sms).map(|sm| usize::from(sm >= half)).collect();
-    // Ordered map: `in_flight` is iterated while mutating the engine, so a
-    // HashMap would leak the OS-randomized hash seed into the simulation.
-    let mut in_flight: BTreeMap<usize, InFlight> = BTreeMap::new();
     for j in jobs.iter_mut() {
         j.ensure_running(&mut engine);
     }
@@ -153,67 +144,23 @@ pub fn run_pair(
     let poll = cfg.us_to_cycles(0.5).max(1);
 
     while engine.cycle() < horizon {
-        let step = if in_flight
-            .values()
-            .any(|f| matches!(f, InFlight::FlushWait { .. }))
-        {
-            poll
-        } else {
-            tick
-        };
+        let step = if pre.flush_waiting() { poll } else { tick };
         let events = engine.run_until(engine.cycle() + step);
-        for ev in events {
-            match ev {
-                Event::TbCompleted {
-                    kernel,
-                    insts,
-                    cycles,
-                    ..
-                } => {
-                    let name = super::periodic_name(&engine.kernel_stats(kernel).name);
-                    obs.record_tb(&name, insts, cycles);
-                }
-                Event::PreemptionCompleted { sm, .. }
-                    if in_flight.get(&sm) == Some(&InFlight::Preempting) =>
-                {
-                    in_flight.remove(&sm);
-                }
-                _ => {}
-            }
+        for ev in &events {
+            pre.on_event(&engine, ev);
         }
-        // Flush-wait polling: `in_flight` is a BTreeMap, so this snapshot is
-        // already ordered by SM index — `try_flush` mutates the engine, so
-        // iteration order must be deterministic.
-        let waiting: Vec<usize> = in_flight
-            .iter()
-            .filter(|(_, f)| matches!(f, InFlight::FlushWait { .. }))
-            .map(|(&sm, _)| sm)
-            .collect();
-        for sm in waiting {
-            if super::periodic_try_flush(&mut engine, sm) {
-                in_flight.remove(&sm);
-            }
-        }
+        pre.poll_flush_waits(&mut engine, |_, _, _| {});
         // Advance launches.
         for j in jobs.iter_mut() {
             j.ensure_running(&mut engine);
         }
         // Repartition on demand.
-        rebalance(
-            &mut engine,
-            cfg,
-            &jobs,
-            &mut owner,
-            &mut in_flight,
-            policy,
-            mcfg,
-            &obs,
-        );
+        rebalance(&mut engine, cfg, &jobs, &mut owner, &mut pre, mcfg);
         // Assignment pass.
         for sm in 0..cfg.num_sms {
-            match in_flight.get(&sm) {
-                Some(InFlight::Preempting) => {}
-                Some(&InFlight::FlushWait { src }) => {
+            match pre.in_flight(sm) {
+                Some((InFlight::Preempting, _)) => {}
+                Some((InFlight::FlushWait, src)) => {
                     let k = jobs[src].current();
                     if engine.sm_assigned(sm) != k && !engine.sm_is_preempting(sm) {
                         engine.assign_sm(sm, k);
@@ -264,16 +211,13 @@ fn demand(engine: &Engine, job: &Job) -> usize {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn rebalance(
     engine: &mut Engine,
     cfg: &GpuConfig,
     jobs: &[Job; 2],
     owner: &mut [usize],
-    in_flight: &mut BTreeMap<usize, InFlight>,
-    policy: Policy,
+    pre: &mut Preemptor,
     mcfg: &MultiprogConfig,
-    obs: &ObsBank,
 ) {
     let total = cfg.num_sms;
     let d = [demand(engine, &jobs[0]), demand(engine, &jobs[1])];
@@ -294,88 +238,18 @@ fn rebalance(
     if n == 0 {
         return;
     }
-    // Candidates owned by src and not already moving.
-    let mut cands: Vec<usize> = (0..total)
-        .filter(|sm| {
-            owner[*sm] == src && !in_flight.contains_key(sm) && !engine.sm_is_preempting(*sm)
-        })
-        .collect();
-    cands.sort_by_key(|&sm| (engine.sm_resident_count(sm), sm));
-    let mut moved = 0usize;
-    let mut occupied: Vec<usize> = Vec::new();
-    for sm in cands {
-        if moved >= n {
-            break;
-        }
-        if engine.sm_resident_count(sm) == 0 {
+    let cands = pre.candidates(engine, |sm| owner[sm] == src);
+    pre.preempt(
+        engine,
+        &cands,
+        n,
+        jobs[src].current(),
+        true,
+        src,
+        |_, sm, _| {
             owner[sm] = dst;
-            moved += 1;
-        } else {
-            occupied.push(sm);
-        }
-    }
-    let remaining = n - moved;
-    if remaining == 0 || occupied.is_empty() {
-        return;
-    }
-    match policy {
-        Policy::Switch | Policy::Drain | Policy::Oracle => {
-            let tech = if policy == Policy::Drain {
-                Technique::Drain
-            } else {
-                Technique::Switch
-            };
-            for &sm in occupied.iter().take(remaining) {
-                let plan = SmPreemptPlan::uniform(engine.sm_resident_indices(sm), tech);
-                match engine.preempt_sm(sm, &plan) {
-                    Ok(true) | Err(_) => {
-                        owner[sm] = dst;
-                    }
-                    Ok(false) => {
-                        owner[sm] = dst;
-                        in_flight.insert(sm, InFlight::Preempting);
-                    }
-                }
-            }
-        }
-        Policy::Flush => {
-            for &sm in occupied.iter().take(remaining) {
-                if super::periodic_try_flush(engine, sm) {
-                    owner[sm] = dst;
-                } else {
-                    owner[sm] = dst;
-                    in_flight.insert(sm, InFlight::FlushWait { src });
-                }
-            }
-        }
-        Policy::Chimera { limit_us } => {
-            let Some(kid) = jobs[src].current() else {
-                return;
-            };
-            let desc = engine.kernel_desc(kid);
-            let name = super::periodic_name(desc.name());
-            let req = SelectionRequest {
-                limit_cycles: cfg.us_to_cycles(limit_us),
-                num_preempts: remaining,
-                ctx_bytes_per_tb: desc.block_context_bytes(),
-                obs: obs.obs(&name),
-                flush_allowed: true,
-                estimator: mcfg.common.estimator,
-            };
-            let snaps: Vec<_> = occupied.iter().map(|&sm| engine.sm_snapshot(sm)).collect();
-            for plan in select_preemptions(cfg, &req, &snaps) {
-                match engine.preempt_sm(plan.sm, &plan.plan) {
-                    Ok(true) | Err(_) => {
-                        owner[plan.sm] = dst;
-                    }
-                    Ok(false) => {
-                        owner[plan.sm] = dst;
-                        in_flight.insert(plan.sm, InFlight::Preempting);
-                    }
-                }
-            }
-        }
-    }
+        },
+    );
 }
 
 /// Run two benchmarks under non-preemptive FCFS: every kernel launch waits

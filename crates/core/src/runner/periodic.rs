@@ -12,12 +12,12 @@
 //! SMs are reserved for the task's execution window even when the request was
 //! late — the benchmark never pockets bonus SM-time from violations.
 
-use crate::cost::{EstimatorConfig, EstimatorMode, ObsBank};
-use crate::obs::{DrainSample, DrainTracker};
+use crate::cost::{EstimatorConfig, EstimatorMode};
+use crate::obs::DrainSample;
 use crate::policy::Policy;
+use crate::preemptor::{InFlight, Preemptor, Taken};
 use crate::runner::RunCommon;
-use crate::select::{select_preemptions, SelectionRequest};
-use gpu_sim::{Engine, Event, GpuConfig, SmPreemptPlan, Technique};
+use gpu_sim::{Engine, Event, GpuConfig, Technique};
 use std::collections::{BTreeMap, HashMap};
 use workloads::{Benchmark, RtTask};
 
@@ -219,24 +219,17 @@ struct Request {
     task_kid: Option<gpu_sim::KernelId>,
 }
 
-/// Shared mutable run state.
+/// Shared mutable run state (the SMs in flight for a request live in the
+/// [`Preemptor`]'s ledger, tagged with the request index).
 #[derive(Debug)]
 struct RunState {
     /// SM → release cycle (reserved by the RT task). Ordered: the map is
     /// iterated while mutating the engine, so a `HashMap` here would leak the
     /// OS-randomized hash seed into the simulation (the hash-iter lint).
     reserved: BTreeMap<usize, u64>,
-    /// SM → request index (engine-level preemption in flight for the task).
-    pending_preempt: HashMap<usize, usize>,
-    /// SM → request index (flush policy waiting for an idempotent moment).
-    /// Ordered for the same reason as `reserved`.
-    flush_wait: BTreeMap<usize, usize>,
     /// Task kernel → SMs it occupies (only when `simulate_task` is on).
     task_sms: HashMap<gpu_sim::KernelId, Vec<usize>>,
     requests: Vec<Request>,
-    obs: ObsBank,
-    /// Incremental drain decision↔completion join (tentpole closed loop).
-    drains: DrainTracker,
 }
 
 /// Run the periodic experiment for one benchmark under one policy.
@@ -302,13 +295,10 @@ pub fn run_periodic_traced(
     job.ensure_running(&mut engine);
     let mut st = RunState {
         reserved: BTreeMap::new(),
-        pending_preempt: HashMap::new(),
-        flush_wait: BTreeMap::new(),
         task_sms: HashMap::new(),
         requests: Vec::new(),
-        obs: ObsBank::with_estimator(pcfg.common.estimator),
-        drains: DrainTracker::new(),
     };
+    let mut pre = Preemptor::new(policy, pcfg.common.estimator);
     let horizon = cfg.us_to_cycles(pcfg.common.horizon_us);
     let period = pcfg.task.period_cycles(cfg);
     let exec = pcfg.task.exec_cycles(cfg);
@@ -322,7 +312,7 @@ pub fn run_periodic_traced(
         if let Some(&r) = st.reserved.values().min() {
             t_next = t_next.min(r);
         }
-        if !st.flush_wait.is_empty() {
+        if pre.flush_waiting() {
             t_next = t_next.min(engine.cycle() + poll);
         }
         for rq in &st.requests {
@@ -334,38 +324,27 @@ pub fn run_periodic_traced(
         let events = engine.run_until(t_next);
         let now = engine.cycle();
         for ev in events {
+            if let Some((sm, req_idx)) = pre.on_event(&engine, &ev) {
+                acquire(&mut engine, &mut st, pcfg, cfg, req_idx, sm, now, exec);
+            }
             match ev {
-                Event::TbCompleted {
-                    kernel,
-                    sm,
-                    block,
-                    insts,
-                    cycles,
-                    cycle,
-                } => {
-                    let name = base_kernel_name(&engine.kernel_stats(kernel).name);
-                    st.obs.record_tb(&name, insts, cycles);
-                    st.drains.note_completion(&name, sm, kernel.0, block, cycle);
+                Event::TbCompleted { kernel, .. }
+                    if pcfg.common.estimator.mode == EstimatorMode::Online =>
+                {
                     // Periodically surface the live estimator state to the
                     // observability event log: at the moment the quantile
                     // becomes trusted and every 256 completions after.
-                    if pcfg.common.estimator.mode == EstimatorMode::Online {
-                        let n = st.obs.samples(&name);
-                        if n == pcfg.common.estimator.min_samples || n.is_multiple_of(256) {
-                            let o = st.obs.obs(&name);
-                            engine.record_estimator_update(
-                                kernel,
-                                n,
-                                o.avg_tb_insts.unwrap_or(0.0).round() as u64,
-                                o.quantile_tb_insts.unwrap_or(0.0).round() as u64,
-                                pcfg.common.estimator.risk_pct(),
-                            );
-                        }
-                    }
-                }
-                Event::PreemptionCompleted { sm, .. } => {
-                    if let Some(req_idx) = st.pending_preempt.remove(&sm) {
-                        acquire(&mut engine, &mut st, pcfg, cfg, req_idx, sm, now, exec);
+                    let name = base_kernel_name(&engine.kernel_stats(kernel).name);
+                    let n = pre.obs().samples(name);
+                    if n == pcfg.common.estimator.min_samples || n.is_multiple_of(256) {
+                        let o = pre.obs().obs(name);
+                        engine.record_estimator_update(
+                            kernel,
+                            n,
+                            o.avg_tb_insts.unwrap_or(0.0).round() as u64,
+                            o.quantile_tb_insts.unwrap_or(0.0).round() as u64,
+                            pcfg.common.estimator.risk_pct(),
+                        );
                     }
                 }
                 Event::KernelFinished { kernel } => {
@@ -380,16 +359,9 @@ pub fn run_periodic_traced(
             }
         }
         // Flush policy: reset SMs the moment every resident block is safe.
-        // `flush_wait` is a BTreeMap, so this snapshot is already ordered by
-        // SM index — `try_flush`/`acquire` mutate the engine, so iteration
-        // order must be deterministic.
-        let waiting: Vec<(usize, usize)> = st.flush_wait.iter().map(|(&s, &r)| (s, r)).collect();
-        for (sm, req_idx) in waiting {
-            if periodic_try_flush(&mut engine, sm) {
-                st.flush_wait.remove(&sm);
-                acquire(&mut engine, &mut st, pcfg, cfg, req_idx, sm, now, exec);
-            }
-        }
+        pre.poll_flush_waits(&mut engine, |engine, sm, req_idx| {
+            acquire(engine, &mut st, pcfg, cfg, req_idx, sm, now, exec);
+        });
         // Release expired reservations back to the benchmark.
         st.reserved.retain(|_, &mut release| release > now);
         // Evaluate deadline violations.
@@ -400,7 +372,7 @@ pub fn run_periodic_traced(
         }
         // New periodic request.
         if now >= next_request && next_request < horizon {
-            issue_request(&mut engine, &mut st, policy, pcfg, cfg, now, exec, &job);
+            issue_request(&mut engine, &mut st, &mut pre, pcfg, cfg, now, exec, &job);
             next_request += period;
         }
         // Keep the benchmark running and (re)assigned to all free SMs.
@@ -408,7 +380,7 @@ pub fn run_periodic_traced(
         let current = job.current();
         for sm in 0..cfg.num_sms {
             if st.reserved.contains_key(&sm)
-                || st.pending_preempt.contains_key(&sm)
+                || matches!(pre.in_flight(sm), Some((InFlight::Preempting, _)))
                 || engine.sm_is_preempting(sm)
             {
                 continue;
@@ -469,13 +441,13 @@ pub fn run_periodic_traced(
         wasted_flush_insts,
         switch_count,
         flush_count,
-        drain_samples: st.drains.into_samples(),
+        drain_samples: pre.into_drain_samples(),
     };
     super::assert_race_clean(&engine, "run_periodic");
     (result, engine)
 }
 
-use super::{periodic_name as base_kernel_name, periodic_try_flush};
+use super::periodic_name as base_kernel_name;
 
 #[allow(clippy::too_many_arguments)]
 fn acquire(
@@ -517,137 +489,44 @@ fn acquire(
 fn issue_request(
     engine: &mut Engine,
     st: &mut RunState,
-    policy: Policy,
+    pre: &mut Preemptor,
     pcfg: &PeriodicConfig,
     cfg: &GpuConfig,
     now: u64,
     exec: u64,
     job: &crate::runner::Job,
 ) {
-    let needed = pcfg.task.sms_needed;
     st.requests.push(Request {
         t: now,
-        needed,
+        needed: pcfg.task.sms_needed,
         acquired: 0,
         completed_at: None,
         evaluated: false,
         task_kid: None,
     });
     let req_idx = st.requests.len() - 1;
-    // Candidate SMs: not already reserved / claimed / mid-preemption.
-    let mut candidates: Vec<usize> = (0..cfg.num_sms)
-        .filter(|sm| {
-            !st.reserved.contains_key(sm)
-                && !st.pending_preempt.contains_key(sm)
-                && !st.flush_wait.contains_key(sm)
-                && !engine.sm_is_preempting(*sm)
-        })
-        .collect();
-    // Idle SMs are free wins (size-bound kernels leave SMs empty, §4.1).
-    candidates.sort_by_key(|&sm| (engine.sm_resident_count(sm), sm));
-    let mut remaining = needed;
-    let mut occupied = Vec::new();
-    for sm in candidates {
-        if remaining == 0 {
-            break;
-        }
-        if engine.sm_resident_count(sm) == 0 {
-            acquire(engine, st, pcfg, cfg, req_idx, sm, now, exec);
-            remaining -= 1;
-        } else {
-            occupied.push(sm);
-        }
-    }
-    if remaining == 0 {
-        return;
-    }
+    let cands = pre.candidates(engine, |sm| !st.reserved.contains_key(&sm));
     // Flush eligibility comes from the dataflow analysis over the program's
     // access regions; the sanitizer cross-checks its verdict dynamically
-    // when enabled.
-    let kernel_strictly_idempotent = job
-        .current()
-        .map(|k| idem::analyze(engine.kernel_desc(k).program()).strict_idempotent)
-        .unwrap_or(true);
-    match policy {
-        Policy::Switch | Policy::Drain | Policy::Oracle => {
-            let tech = if policy == Policy::Drain {
-                Technique::Drain
-            } else {
-                Technique::Switch
-            };
-            for &sm in occupied.iter().take(remaining) {
-                let plan = SmPreemptPlan::uniform(engine.sm_resident_indices(sm), tech);
-                match engine.preempt_sm(sm, &plan) {
-                    Ok(true) => acquire(engine, st, pcfg, cfg, req_idx, sm, now, exec),
-                    Ok(false) => {
-                        st.pending_preempt.insert(sm, req_idx);
-                    }
-                    Err(_) => {
-                        // Became empty in the meantime: a free win.
-                        acquire(engine, st, pcfg, cfg, req_idx, sm, now, exec);
-                    }
-                }
+    // when enabled. Strict condition: a non-idempotent kernel is never
+    // flushable.
+    let flush_allowed = !pcfg.strict_idem
+        || job
+            .current()
+            .is_none_or(|k| idem::analyze(engine.kernel_desc(k).program()).strict_idempotent);
+    pre.preempt(
+        engine,
+        &cands,
+        pcfg.task.sms_needed,
+        job.current(),
+        flush_allowed,
+        req_idx,
+        |engine, sm, taken| {
+            if taken == Taken::Vacated {
+                acquire(engine, st, pcfg, cfg, req_idx, sm, now, exec);
             }
-        }
-        Policy::Flush => {
-            // Strict condition: a non-idempotent kernel is never flushable.
-            if pcfg.strict_idem && !kernel_strictly_idempotent {
-                // The SMs can never be reset; the request is doomed to
-                // violate. (No state to track — nothing will ever acquire.)
-                return;
-            }
-            for &sm in occupied.iter().take(remaining) {
-                if periodic_try_flush(engine, sm) {
-                    acquire(engine, st, pcfg, cfg, req_idx, sm, now, exec);
-                } else {
-                    st.flush_wait.insert(sm, req_idx);
-                }
-            }
-        }
-        Policy::Chimera { limit_us } => {
-            let limit = cfg.us_to_cycles(limit_us);
-            let Some(kid) = job.current() else { return };
-            let desc = engine.kernel_desc(kid);
-            let name = base_kernel_name(desc.name());
-            let req = SelectionRequest {
-                limit_cycles: limit,
-                num_preempts: remaining,
-                ctx_bytes_per_tb: desc.block_context_bytes(),
-                obs: st.obs.obs(&name),
-                flush_allowed: !pcfg.strict_idem || kernel_strictly_idempotent,
-                estimator: pcfg.common.estimator,
-            };
-            let snapshots: Vec<_> = occupied.iter().map(|&sm| engine.sm_snapshot(sm)).collect();
-            for plan in select_preemptions(cfg, &req, &snapshots) {
-                // Feed the Algorithm 1 decision (inputs + choice) to the
-                // observability event log before executing it, and register
-                // drain decisions with the live estimator-accuracy join.
-                for d in &plan.decisions {
-                    engine.record_decision(plan.sm, kid, limit, *d);
-                    if d.chosen == Technique::Drain {
-                        if let Some(est) = d.est_drain {
-                            st.drains.note_decision(
-                                plan.sm,
-                                kid.0,
-                                d.block,
-                                now,
-                                est.latency_cycles,
-                            );
-                        }
-                    }
-                }
-                match engine.preempt_sm(plan.sm, &plan.plan) {
-                    Ok(true) => acquire(engine, st, pcfg, cfg, req_idx, plan.sm, now, exec),
-                    Ok(false) => {
-                        st.pending_preempt.insert(plan.sm, req_idx);
-                    }
-                    Err(_) => {
-                        acquire(engine, st, pcfg, cfg, req_idx, plan.sm, now, exec);
-                    }
-                }
-            }
-        }
-    }
+        },
+    );
 }
 
 #[cfg(test)]
@@ -736,6 +615,20 @@ mod tests {
         let live = crate::obs::accuracy_per_kernel(cfg, &r.drain_samples);
         let post = crate::obs::drain_accuracy(&engine);
         assert_eq!(live, post);
+
+        // The scheduler behind the serving runs carries the same join.
+        use crate::runner::serve::{run_serve_traced, ArrivalProcess, ServeConfig};
+        let gcfg = GpuConfig::fermi();
+        let wl = workloads::ServeWorkload::standard(&gcfg);
+        let scfg = ServeConfig::paper_default()
+            .horizon_us(4_000.0)
+            .arrivals(ArrivalProcess::poisson(1.5 * wl.saturation_per_ms()));
+        let (_, gpu) = run_serve_traced(&gcfg, &wl, &scfg, 1 << 20);
+        let log = gpu.engine().event_log().expect("tracing enabled");
+        assert_eq!(log.dropped(), 0, "the ring must hold the whole run");
+        assert!(!gpu.drain_samples().is_empty(), "serving drains blocks");
+        let live = crate::obs::accuracy_per_kernel(&gcfg, gpu.drain_samples());
+        assert_eq!(live, crate::obs::drain_accuracy(gpu.engine()));
     }
 
     #[test]

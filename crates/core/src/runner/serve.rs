@@ -16,11 +16,11 @@
 use crate::cost::EstimatorConfig;
 use crate::partition::PartitionPolicy;
 use crate::policy::Policy;
+use crate::runner::cluster::{device_builder, run_serve_devices, Placement};
 use crate::runner::RunCommon;
-use crate::scheduler::{GpuScheduler, SchedEvent};
+use crate::scheduler::GpuScheduler;
 use gpu_sim::rng::{hash_combine, unit_f64};
-use gpu_sim::{GpuConfig, ShedReason};
-use std::collections::VecDeque;
+use gpu_sim::GpuConfig;
 use workloads::ServeWorkload;
 
 /// Hash salts separating the independent random streams of a serve run.
@@ -243,10 +243,10 @@ pub(crate) fn pick_weighted(weights: &[u32], u: f64) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// Per-tenant queue cap: an arrival finding its tenant's queue at this
-    /// depth is shed with [`ShedReason::QueueFull`].
+    /// depth is shed with [`ShedReason::QueueFull`](gpu_sim::ShedReason::QueueFull).
     pub queue_cap: usize,
     /// Shed arrivals whose deadline is already infeasible given the queued
-    /// backlog ([`ShedReason::Infeasible`]); late requests are always shed
+    /// backlog ([`ShedReason::Infeasible`](gpu_sim::ShedReason::Infeasible)); late requests are always shed
     /// at dispatch time regardless.
     pub shed_infeasible: bool,
 }
@@ -442,9 +442,8 @@ pub struct ServeResult {
     pub tenants: Vec<TenantOutcome>,
 }
 
-/// A request sitting in a tenant queue or running on a lane. Shared with
-/// the multi-device cluster runner ([`crate::runner::cluster`]), which
-/// routes the same materialised stream across devices.
+/// A request sitting in a tenant queue or running on a lane of the serving
+/// loop ([`crate::runner::cluster::run_serve_devices`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Pending {
     pub(crate) req: u64,
@@ -475,9 +474,8 @@ pub(crate) fn slack_quantile(slacks: &[f64], q: f64) -> Option<f64> {
 }
 
 /// Materialise the arrival stream with tenant/class/deadline stamps — a
-/// pure function of `(workload, serve config)`, shared between the
-/// single-device serve loop and the cluster runner so both replay the
-/// identical request stream.
+/// pure function of `(workload, serve config)`, so every device count and
+/// placement replays the identical request stream.
 pub(crate) fn materialize_arrivals(wl: &ServeWorkload, scfg: &ServeConfig) -> Vec<Pending> {
     let seed = scfg.common.seed;
     let class_weights: Vec<u32> = wl.classes.iter().map(|c| c.weight).collect();
@@ -509,7 +507,8 @@ pub(crate) fn materialize_arrivals(wl: &ServeWorkload, scfg: &ServeConfig) -> Ve
         .collect()
 }
 
-/// Run an open-loop serving experiment on a fresh scheduler.
+/// Run an open-loop serving experiment on a fresh scheduler: the one-device
+/// projection of [`run_serve_devices`].
 ///
 /// ```no_run
 /// use chimera::runner::serve::{run_serve, ServeConfig};
@@ -522,20 +521,12 @@ pub(crate) fn materialize_arrivals(wl: &ServeWorkload, scfg: &ServeConfig) -> Ve
 /// assert_eq!(res.offered, res.admitted + res.shed_queue_full + res.shed_infeasible);
 /// ```
 pub fn run_serve(cfg: &GpuConfig, wl: &ServeWorkload, scfg: &ServeConfig) -> ServeResult {
-    let mut gpu = GpuScheduler::builder(cfg.clone())
-        .policy(scfg.effective_policy())
-        .partition(scfg.partition.clone())
-        .estimator(scfg.common.estimator)
-        .seed(scfg.common.seed)
-        .par_shards(scfg.common.par_shards)
-        .race_check(scfg.common.race_check)
-        .build();
-    run_serve_on(&mut gpu, wl, scfg)
+    run_serve_traced(cfg, wl, scfg, 0).0
 }
 
 /// Like [`run_serve`] but with the engine's event log enabled (ring
-/// capacity `event_capacity`); returns the scheduler so the caller can
-/// export the arrival/admission/shed track via
+/// capacity `event_capacity`; `0` leaves it disabled); returns the scheduler
+/// so the caller can export the arrival/admission/shed track via
 /// [`gpu_sim::trace::chrome_trace_json`].
 pub fn run_serve_traced(
     cfg: &GpuConfig,
@@ -543,210 +534,13 @@ pub fn run_serve_traced(
     scfg: &ServeConfig,
     event_capacity: usize,
 ) -> (ServeResult, GpuScheduler) {
-    let mut gpu = GpuScheduler::builder(cfg.clone())
-        .policy(scfg.effective_policy())
-        .partition(scfg.partition.clone())
-        .estimator(scfg.common.estimator)
-        .seed(scfg.common.seed)
-        .par_shards(scfg.common.par_shards)
-        .race_check(scfg.common.race_check)
+    let gpu = device_builder(cfg, scfg, 0)
         .event_log(event_capacity)
         .build();
-    let res = run_serve_on(&mut gpu, wl, scfg);
+    let run = run_serve_devices(vec![gpu], wl, scfg, Placement::RoundRobin);
+    let res = run.serve_result(0);
+    let gpu = run.into_schedulers().pop().expect("one device");
     (res, gpu)
-}
-
-/// Run the serving loop on a caller-built scheduler (which must have no
-/// processes registered yet — the runner adds one per lane). This is the
-/// entry point for benches that need a custom-built scheduler, e.g. one
-/// with the scan-mode engine.
-pub fn run_serve_on(gpu: &mut GpuScheduler, wl: &ServeWorkload, scfg: &ServeConfig) -> ServeResult {
-    assert_eq!(
-        gpu.num_processes(),
-        0,
-        "run_serve_on needs a fresh scheduler"
-    );
-    assert!(!wl.classes.is_empty() && !wl.tenants.is_empty());
-    let cfg = gpu.engine().config().clone();
-    let horizon_us = scfg.common.horizon_us;
-    let lanes: Vec<_> = (0..scfg.lanes).map(|_| gpu.add_process()).collect();
-    let mut lane_req: Vec<Option<Pending>> = vec![None; lanes.len()];
-
-    let tenant_weights: Vec<u32> = wl.tenants.iter().map(|t| t.weight).collect();
-    let arrivals = materialize_arrivals(wl, scfg);
-
-    let nt = wl.tenants.len();
-    let mut queues: Vec<VecDeque<Pending>> = vec![VecDeque::new(); nt];
-    let mut queued_service_us = 0.0f64;
-    let mut inflight_service_us = 0.0f64;
-    let mut served_us = vec![0.0f64; nt];
-    let mut max_queue_depth = 0usize;
-
-    let mut t_offered = vec![0u64; nt];
-    let mut t_admitted = vec![0u64; nt];
-    let mut t_shed = vec![0u64; nt];
-    let mut t_completed = vec![0u64; nt];
-    let mut t_violations = vec![0u64; nt];
-    let mut t_ntt_sum = vec![0.0f64; nt];
-
-    let mut shed_queue_full = 0u64;
-    let mut shed_infeasible = 0u64;
-    let mut shed_late = 0u64;
-    let mut deadline_met = 0u64;
-    let mut slacks: Vec<f64> = Vec::new();
-
-    let mut next_arrival = 0usize;
-    loop {
-        let now_us = cfg.cycles_to_us(gpu.cycle());
-        // Admission: process every arrival at or before `now`.
-        while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_us <= now_us {
-            let p = arrivals[next_arrival].clone();
-            next_arrival += 1;
-            let tenant = p.tenant;
-            t_offered[tenant] += 1;
-            gpu.record_request_arrival(
-                p.req,
-                obs_id(tenant, "tenant"),
-                obs_id(p.class_ix, "class"),
-                cfg.us_to_cycles(p.deadline_us),
-            );
-            if queues[tenant].len() >= scfg.admission.queue_cap {
-                shed_queue_full += 1;
-                t_shed[tenant] += 1;
-                gpu.record_request_shed(p.req, obs_id(tenant, "tenant"), ShedReason::QueueFull);
-                continue;
-            }
-            // Feasibility: the backlog ahead of this request (queued plus
-            // in flight, drained across the lanes) must leave room for its
-            // own service before the deadline.
-            let backlog_us = (queued_service_us + inflight_service_us) / lanes.len() as f64;
-            if scfg.admission.shed_infeasible
-                && backlog_us + p.service_us > p.deadline_us - p.arrival_us
-            {
-                shed_infeasible += 1;
-                t_shed[tenant] += 1;
-                gpu.record_request_shed(p.req, obs_id(tenant, "tenant"), ShedReason::Infeasible);
-                continue;
-            }
-            t_admitted[tenant] += 1;
-            queued_service_us += p.service_us;
-            queues[tenant].push_back(p.clone());
-            max_queue_depth = max_queue_depth.max(queues[tenant].len());
-            // The queue-depth gauge is diagnostic; saturate rather than
-            // panic if a cap-less config ever exceeds u32.
-            let depth = u32::try_from(queues[tenant].len()).unwrap_or(u32::MAX);
-            gpu.record_request_admitted(p.req, obs_id(tenant, "tenant"), depth);
-        }
-        // Dispatch: fill free lanes, weighted-fair across tenants.
-        for lane in 0..lanes.len() {
-            if lane_req[lane].is_some() {
-                continue;
-            }
-            // Tenant with the least weighted service so far wins; ties
-            // break to the lower index, deterministically. `total_cmp`:
-            // a degenerate workload spec (NaN/zero service times) must
-            // starve fairness, not panic the serve loop.
-            while let Some(tenant) = (0..nt).filter(|&t| !queues[t].is_empty()).min_by(|&a, &b| {
-                let ka = served_us[a] / f64::from(tenant_weights[a].max(1));
-                let kb = served_us[b] / f64::from(tenant_weights[b].max(1));
-                ka.total_cmp(&kb).then(a.cmp(&b))
-            }) {
-                let p = queues[tenant].pop_front().expect("non-empty queue");
-                queued_service_us -= p.service_us;
-                if now_us + p.service_us > p.deadline_us {
-                    shed_late += 1;
-                    t_shed[tenant] += 1;
-                    gpu.record_request_shed(p.req, obs_id(tenant, "tenant"), ShedReason::Late);
-                    continue;
-                }
-                served_us[tenant] += p.service_us;
-                inflight_service_us += p.service_us;
-                gpu.submit(lanes[lane], wl.classes[p.class_ix].kernel(p.req));
-                lane_req[lane] = Some(p);
-                break;
-            }
-        }
-        if now_us >= horizon_us {
-            break;
-        }
-        // Advance to the next decision point: the next arrival, the
-        // scheduler's own 5 µs tick, or the horizon — whichever is first.
-        let mut target = horizon_us.min(now_us + 5.0);
-        if next_arrival < arrivals.len() {
-            target = target.min(arrivals[next_arrival].arrival_us);
-        }
-        let step_us = (target - now_us).max(0.01);
-        for ev in gpu.run_for_us(step_us) {
-            if let SchedEvent::KernelFinished { proc, kernel } = ev {
-                let lane = lanes.iter().position(|&l| l == proc).expect("known lane");
-                let p = lane_req[lane].take().expect("lane was busy");
-                inflight_service_us -= p.service_us;
-                let finish_cycle = gpu
-                    .engine()
-                    .kernel_stats(kernel)
-                    .finished_at
-                    .expect("finished kernel has a finish cycle");
-                let finish_us = cfg.cycles_to_us(finish_cycle);
-                let slack = p.deadline_us - finish_us;
-                slacks.push(slack);
-                t_completed[p.tenant] += 1;
-                t_ntt_sum[p.tenant] += (finish_us - p.arrival_us) / p.service_us.max(1e-9);
-                if slack >= 0.0 {
-                    deadline_met += 1;
-                } else {
-                    t_violations[p.tenant] += 1;
-                }
-            }
-        }
-    }
-
-    let offered = arrivals.len() as u64;
-    let admitted: u64 = t_admitted.iter().sum();
-    let completed: u64 = t_completed.iter().sum();
-    let violations: u64 = t_violations.iter().sum();
-    let horizon_s = horizon_us / 1e6;
-    // `total_cmp` orders NaN slacks (possible only with a degenerate
-    // workload spec) after every finite value instead of panicking.
-    slacks.sort_by(f64::total_cmp);
-    let quantile = |q: f64| slack_quantile(&slacks, q);
-    let tenants = wl
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(t, spec)| TenantOutcome {
-            name: spec.name.clone(),
-            offered: t_offered[t],
-            admitted: t_admitted[t],
-            shed: t_shed[t],
-            completed: t_completed[t],
-            violations: t_violations[t],
-            antt: (t_completed[t] > 0).then(|| t_ntt_sum[t] / t_completed[t] as f64),
-            violation_share: if violations > 0 {
-                t_violations[t] as f64 / violations as f64
-            } else {
-                0.0
-            },
-        })
-        .collect();
-    super::assert_race_clean(gpu.engine(), "run_serve");
-    ServeResult {
-        offered,
-        admitted,
-        shed_queue_full,
-        shed_infeasible,
-        shed_late,
-        completed,
-        deadline_met,
-        violations,
-        unfinished: admitted - completed - shed_late,
-        offered_per_s: offered as f64 / horizon_s,
-        goodput_per_s: deadline_met as f64 / horizon_s,
-        slack_p50_us: quantile(0.50),
-        slack_p99_us: quantile(0.99),
-        slack_p999_us: quantile(0.999),
-        max_queue_depth,
-        tenants,
-    }
 }
 
 #[cfg(test)]

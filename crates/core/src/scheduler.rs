@@ -38,12 +38,13 @@
 //! # Ok::<(), gpu_sim::KernelError>(())
 //! ```
 
-use crate::cost::{EstimatorConfig, ObsBank};
+use crate::cost::EstimatorConfig;
+use crate::obs::DrainSample;
 use crate::partition::PartitionPolicy;
 use crate::policy::Policy;
-use crate::select::{select_preemptions, SelectionRequest};
-use gpu_sim::{Engine, Event, GpuConfig, KernelId, ShedReason, SmPreemptPlan, Technique};
-use std::collections::{BTreeMap, VecDeque};
+use crate::preemptor::Preemptor;
+use gpu_sim::{Engine, Event, GpuConfig, KernelId, ShedReason};
+use std::collections::VecDeque;
 
 /// Identifies a registered process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -94,10 +95,9 @@ struct ProcState {
 
 /// Builder for [`GpuScheduler`] (see [`GpuScheduler::builder`]).
 ///
-/// Replaces the old construct-then-mutate sequence (`new` +
-/// `set_estimator` + `enable_event_log`): all knobs are set up front and
-/// [`build`](GpuSchedulerBuilder::build) wires them in the right order, so
-/// there is no window where a half-configured scheduler can run.
+/// All knobs are set up front and [`build`](GpuSchedulerBuilder::build)
+/// wires them in the right order, so there is no window where a
+/// half-configured scheduler can run.
 ///
 /// ```
 /// use chimera::scheduler::GpuScheduler;
@@ -150,16 +150,38 @@ impl GpuSchedulerBuilder {
         self
     }
 
-    /// Set the engine's determinism seed (default 42). The old `new` path
-    /// always used the engine default; the builder makes the seed a
-    /// first-class knob.
+    /// Set the engine's determinism seed (default 42).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
     /// Enable the engine's observability [event log](gpu_sim::EventLog)
-    /// with the given ring capacity (default 0 = disabled).
+    /// with the given ring capacity (default 0 = disabled). Chimera
+    /// decisions made by the kernel scheduler are recorded with their
+    /// Algorithm 1 inputs; export with
+    /// [`gpu_sim::trace::chrome_trace_json`] via [`GpuScheduler::engine`].
+    ///
+    /// ```
+    /// use chimera::scheduler::GpuScheduler;
+    /// use gpu_sim::{GpuConfig, KernelDesc, Program, Segment};
+    ///
+    /// let mut gpu = GpuScheduler::builder(GpuConfig::tiny())
+    ///     .event_log(4096)
+    ///     .build();
+    /// let p = gpu.add_process();
+    /// let kernel = KernelDesc::builder("work")
+    ///     .grid_blocks(8)
+    ///     .program(Program::new(vec![Segment::compute(200)]))
+    ///     .build()?;
+    /// gpu.submit(p, kernel);
+    /// while !gpu.is_idle() {
+    ///     gpu.run_for_us(100.0);
+    /// }
+    /// let log = gpu.engine().event_log().expect("enabled above");
+    /// assert!(!log.is_empty(), "block lifecycle events were recorded");
+    /// # Ok::<(), gpu_sim::KernelError>(())
+    /// ```
     pub fn event_log(mut self, capacity: usize) -> Self {
         self.event_log_capacity = capacity;
         self
@@ -217,36 +239,25 @@ impl GpuSchedulerBuilder {
         let n = engine.config().num_sms;
         GpuScheduler {
             engine,
-            policy: self.policy,
+            pre: Preemptor::new(self.policy, self.estimator),
             partition: self.partition,
-            obs: ObsBank::with_estimator(self.estimator),
             procs: Vec::new(),
             owner: vec![None; n],
-            in_flight: BTreeMap::new(),
             events: Vec::new(),
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InFlight {
-    Preempting,
-    FlushWait,
 }
 
 /// A multitasking GPU: engine + kernel scheduler (see module docs).
 #[derive(Debug)]
 pub struct GpuScheduler {
     engine: Engine,
-    policy: Policy,
+    /// The preemption executor and its in-flight ledger.
+    pre: Preemptor,
     partition: PartitionPolicy,
-    obs: ObsBank,
     procs: Vec<ProcState>,
     /// Owning process per SM (`None` until first partition).
     owner: Vec<Option<usize>>,
-    /// Ordered map: iterated while mutating the engine, so a `HashMap` would
-    /// leak the OS-randomized hash seed into the simulation.
-    in_flight: BTreeMap<usize, InFlight>,
     events: Vec<SchedEvent>,
 }
 
@@ -268,31 +279,17 @@ impl GpuScheduler {
         }
     }
 
-    /// Create a scheduler over a fresh engine.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `GpuScheduler::builder(cfg).policy(..).partition(..).build()`"
-    )]
-    pub fn new(cfg: GpuConfig, policy: Policy, partition: PartitionPolicy) -> Self {
-        Self::builder(cfg)
-            .policy(policy)
-            .partition(partition)
-            .build()
-    }
-
-    /// Switch the scheduler's cost estimator (static by default). Resets
-    /// accumulated observations, so call right after construction.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set the estimator up front via `GpuScheduler::builder(cfg).estimator(..)`"
-    )]
-    pub fn set_estimator(&mut self, est: EstimatorConfig) {
-        self.obs = ObsBank::with_estimator(est);
-    }
-
     /// The active cost-estimator configuration.
     pub fn estimator(&self) -> EstimatorConfig {
-        self.obs.estimator()
+        self.pre.estimator()
+    }
+
+    /// Predicted-vs-actual latency of every block Chimera decided to drain,
+    /// joined live as blocks complete (completion order). Aggregate with
+    /// [`crate::obs::accuracy_per_kernel`]; with an event log that dropped
+    /// nothing this equals the post-mortem [`crate::obs::drain_accuracy`].
+    pub fn drain_samples(&self) -> &[DrainSample] {
+        self.pre.drain_samples()
     }
 
     /// Register a process (a serial stream of kernel launches).
@@ -330,39 +327,6 @@ impl GpuScheduler {
     /// The engine (read access for statistics and snapshots).
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// Enable the engine's observability [event log](gpu_sim::EventLog)
-    /// (ring capacity `capacity` events). Chimera decisions made by the
-    /// kernel scheduler are recorded with their Algorithm 1 inputs; export
-    /// with [`gpu_sim::trace::chrome_trace_json`] via [`Self::engine`].
-    ///
-    /// ```
-    /// use chimera::scheduler::GpuScheduler;
-    /// use gpu_sim::{GpuConfig, KernelDesc, Program, Segment};
-    ///
-    /// let mut gpu = GpuScheduler::builder(GpuConfig::tiny())
-    ///     .event_log(4096)
-    ///     .build();
-    /// let p = gpu.add_process();
-    /// let kernel = KernelDesc::builder("work")
-    ///     .grid_blocks(8)
-    ///     .program(Program::new(vec![Segment::compute(200)]))
-    ///     .build()?;
-    /// gpu.submit(p, kernel);
-    /// while !gpu.is_idle() {
-    ///     gpu.run_for_us(100.0);
-    /// }
-    /// let log = gpu.engine().event_log().expect("enabled above");
-    /// assert!(!log.is_empty(), "block lifecycle events were recorded");
-    /// # Ok::<(), gpu_sim::KernelError>(())
-    /// ```
-    #[deprecated(
-        since = "0.1.0",
-        note = "enable up front via `GpuScheduler::builder(cfg).event_log(capacity)`"
-    )]
-    pub fn enable_event_log(&mut self, capacity: usize) {
-        self.engine.enable_event_log(capacity);
     }
 
     /// Record a serving-request arrival in the event log (no-op when the
@@ -414,7 +378,7 @@ impl GpuScheduler {
         let target = self.engine.cycle() + cfg.us_to_cycles(us);
         let tick = cfg.us_to_cycles(5.0).max(1);
         while self.engine.cycle() < target {
-            let step = if self.in_flight.values().any(|f| *f == InFlight::FlushWait) {
+            let step = if self.pre.flush_waiting() {
                 cfg.us_to_cycles(0.5).max(1)
             } else {
                 tick
@@ -422,34 +386,17 @@ impl GpuScheduler {
             let until = (self.engine.cycle() + step).min(target);
             let events = self.engine.run_until(until);
             for ev in events {
-                match ev {
-                    Event::TbCompleted {
+                self.pre.on_event(&self.engine, &ev);
+                let Event::KernelFinished { kernel } = ev else {
+                    continue;
+                };
+                if let Some(pi) = self.procs.iter().position(|p| p.current == Some(kernel)) {
+                    self.procs[pi].current = None;
+                    self.procs[pi].completed += 1;
+                    self.events.push(SchedEvent::KernelFinished {
+                        proc: ProcId(pi),
                         kernel,
-                        insts,
-                        cycles,
-                        ..
-                    } => {
-                        let name =
-                            super::runner::periodic_name(&self.engine.kernel_stats(kernel).name);
-                        self.obs.record_tb(&name, insts, cycles);
-                    }
-                    Event::KernelFinished { kernel } => {
-                        if let Some(pi) = self.procs.iter().position(|p| p.current == Some(kernel))
-                        {
-                            self.procs[pi].current = None;
-                            self.procs[pi].completed += 1;
-                            self.events.push(SchedEvent::KernelFinished {
-                                proc: ProcId(pi),
-                                kernel,
-                            });
-                        }
-                    }
-                    Event::PreemptionCompleted { sm, .. }
-                        if self.in_flight.get(&sm) == Some(&InFlight::Preempting) =>
-                    {
-                        self.in_flight.remove(&sm);
-                    }
-                    _ => {}
+                    });
                 }
             }
             self.schedule();
@@ -477,25 +424,12 @@ impl GpuScheduler {
         if self.procs.is_empty() {
             return;
         }
-        // Flush-wait polling: `in_flight` is a BTreeMap, so this snapshot is
-        // already ordered by SM index — `try_flush` mutates the engine, so
-        // iteration order must be deterministic.
-        let waiting: Vec<usize> = self
-            .in_flight
-            .iter()
-            .filter(|(_, f)| **f == InFlight::FlushWait)
-            .map(|(&sm, _)| sm)
-            .collect();
-        for sm in waiting {
-            if super::runner::periodic_try_flush(&mut self.engine, sm) {
-                self.in_flight.remove(&sm);
-            }
-        }
+        self.pre.poll_flush_waits(&mut self.engine, |_, _, _| {});
         self.repartition();
         // Assignment pass.
         let n_sms = self.engine.config().num_sms;
         for sm in 0..n_sms {
-            if self.in_flight.contains_key(&sm) || self.engine.sm_is_preempting(sm) {
+            if self.pre.in_flight(sm).is_some() || self.engine.sm_is_preempting(sm) {
                 continue;
             }
             let want = self.owner[sm].and_then(|pi| self.procs[pi].current);
@@ -563,80 +497,30 @@ impl GpuScheduler {
     /// Move one SM from `src` to `dst`, preempting if necessary. Returns how
     /// many SMs changed owner (0 when nothing was movable right now).
     fn take_one_sm(&mut self, src: usize, dst: usize) -> usize {
-        let n_sms = self.engine.config().num_sms;
-        let mut cands: Vec<usize> = (0..n_sms)
-            .filter(|&sm| {
-                self.owner[sm] == Some(src)
-                    && !self.in_flight.contains_key(&sm)
-                    && !self.engine.sm_is_preempting(sm)
-            })
-            .collect();
-        cands.sort_by_key(|&sm| (self.engine.sm_resident_count(sm), sm));
-        let Some(&sm) = cands.first() else { return 0 };
-        if self.engine.sm_resident_count(sm) == 0 {
-            self.owner[sm] = Some(dst);
-            self.events.push(SchedEvent::SmReassigned {
-                sm,
-                to: ProcId(dst),
-            });
-            return 1;
-        }
-        match self.policy {
-            Policy::Switch | Policy::Drain | Policy::Oracle => {
-                let tech = if self.policy == Policy::Drain {
-                    Technique::Drain
-                } else {
-                    Technique::Switch
-                };
-                let plan = SmPreemptPlan::uniform(self.engine.sm_resident_indices(sm), tech);
-                match self.engine.preempt_sm(sm, &plan) {
-                    Ok(true) | Err(_) => {}
-                    Ok(false) => {
-                        self.in_flight.insert(sm, InFlight::Preempting);
-                    }
-                }
-            }
-            Policy::Flush => {
-                if !super::runner::periodic_try_flush(&mut self.engine, sm) {
-                    self.in_flight.insert(sm, InFlight::FlushWait);
-                }
-            }
-            Policy::Chimera { limit_us } => {
-                let Some(kid) = self.procs[src].current else {
-                    return 0;
-                };
-                let cfg = self.engine.config().clone();
-                let desc = self.engine.kernel_desc(kid);
-                let name = super::runner::periodic_name(desc.name());
-                let req = SelectionRequest {
-                    limit_cycles: cfg.us_to_cycles(limit_us),
-                    num_preempts: 1,
-                    ctx_bytes_per_tb: desc.block_context_bytes(),
-                    obs: self.obs.obs(&name),
-                    flush_allowed: true,
-                    estimator: self.obs.estimator(),
-                };
-                let snaps = vec![self.engine.sm_snapshot(sm)];
-                for plan in select_preemptions(&cfg, &req, &snaps) {
-                    for d in &plan.decisions {
-                        self.engine
-                            .record_decision(plan.sm, kid, req.limit_cycles, *d);
-                    }
-                    match self.engine.preempt_sm(plan.sm, &plan.plan) {
-                        Ok(true) | Err(_) => {}
-                        Ok(false) => {
-                            self.in_flight.insert(plan.sm, InFlight::Preempting);
-                        }
-                    }
-                }
-            }
-        }
-        self.owner[sm] = Some(dst);
-        self.events.push(SchedEvent::SmReassigned {
-            sm,
-            to: ProcId(dst),
-        });
-        1
+        let owner = &mut self.owner;
+        let cands = self
+            .pre
+            .candidates(&self.engine, |sm| owner[sm] == Some(src));
+        let Some(first) = cands.first() else { return 0 };
+        let events = &mut self.events;
+        let mut moved = 0;
+        self.pre.preempt(
+            &mut self.engine,
+            std::slice::from_ref(first),
+            1,
+            self.procs[src].current,
+            true,
+            src,
+            |_, sm, _| {
+                owner[sm] = Some(dst);
+                events.push(SchedEvent::SmReassigned {
+                    sm,
+                    to: ProcId(dst),
+                });
+                moved += 1;
+            },
+        );
+        moved
     }
 }
 
@@ -783,35 +667,5 @@ mod tests {
         drive_until_idle(&mut gpu, 50);
         assert!(gpu.is_idle());
         assert_eq!(gpu.completed_kernels(p), 1);
-    }
-
-    /// The deprecated `new` shim must construct the exact scheduler the
-    /// builder does; this is the one sanctioned use of the deprecated API
-    /// until the shims are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_builder() {
-        let mut old = GpuScheduler::new(
-            GpuConfig::fermi(),
-            Policy::chimera_us(15.0),
-            PartitionPolicy::SmartEven,
-        );
-        old.set_estimator(EstimatorConfig::online(0.9));
-        old.enable_event_log(256);
-        let mut new = GpuScheduler::builder(GpuConfig::fermi())
-            .estimator(EstimatorConfig::online(0.9))
-            .event_log(256)
-            .build();
-        for gpu in [&mut old, &mut new] {
-            let p1 = gpu.add_process();
-            let p2 = gpu.add_process();
-            gpu.submit(p1, kernel("a", 300, 400));
-            gpu.submit(p2, kernel("b", 300, 400));
-        }
-        let ev_old = drive_until_idle(&mut old, 100);
-        let ev_new = drive_until_idle(&mut new, 100);
-        assert_eq!(format!("{ev_old:?}"), format!("{ev_new:?}"));
-        assert_eq!(old.cycle(), new.cycle());
-        assert_eq!(old.estimator().mode, new.estimator().mode);
     }
 }

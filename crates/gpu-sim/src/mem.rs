@@ -9,7 +9,7 @@
 //! context-switch times; latency sets the CPI of memory-heavy kernels).
 //!
 //! Since the component-calendar refactor each partition is also an engine
-//! [`Component`](crate::component::Component): a request enqueues its
+//! [`crate::component::Component`]: a request enqueues its
 //! completion cycle on the partition, the engine wakes the partition
 //! component at its earliest pending completion, and the partition's tick
 //! retires everything due into partition-local statistics

@@ -15,7 +15,7 @@
 //! When enabled ([`Engine::enable_race_sanitizer`](crate::Engine::enable_race_sanitizer)),
 //! every instrumented shared resource — each memory partition, each
 //! kernel's functional memory, the TB dispatcher, the component-wake path —
-//! reports its accesses to a shared [`RaceState`]. The engine raises a
+//! reports its accesses to a shared `RaceState`. The engine raises a
 //! phase flag for exactly the window in which Phase-A shard workers run,
 //! and each worker claims its SM in a shadow ownership map as it advances.
 //! Any instrumented shared-resource access observed while the flag is up is
@@ -280,7 +280,7 @@ pub struct RaceReport {
     /// Shared-resource accesses observed during a Phase-A window (exact,
     /// even past the detail cap).
     pub violation_count: u64,
-    /// First [`DETAIL_CAP`] violations, in observation order.
+    /// First 32 violations (the detail cap), in observation order.
     pub violations: Vec<RaceViolation>,
     /// Distinct resources in the shadow ownership map.
     pub resources_tracked: usize,
