@@ -239,26 +239,15 @@ fn serve_open_loop(mode: ExecMode, horizon: u64) -> Outcome {
     let scfg = ServeConfig::paper_default()
         .horizon_us(cfg.cycles_to_us(horizon))
         .arrivals(ArrivalProcess::poisson(1.5 * wl.saturation_per_ms()));
-    let gpu = in_mode(
-        GpuScheduler::builder(cfg.clone())
-            .policy(scfg.effective_policy())
-            .partition(PartitionPolicy::SmartEven)
-            .seed(7),
-        mode,
-    );
+    let gpu = GpuScheduler::builder(cfg.clone())
+        .policy(scfg.effective_policy())
+        .partition(PartitionPolicy::SmartEven)
+        .seed(7)
+        .exec_mode(mode)
+        .build();
     let run = run_serve_devices(vec![gpu], &wl, &scfg, Placement::RoundRobin);
     std::hint::black_box(run.serve_result(0));
     fingerprint(run.into_schedulers()[0].engine())
-}
-
-/// Build a scheduler whose engine runs in `mode`.
-fn in_mode(b: chimera::GpuSchedulerBuilder, mode: ExecMode) -> GpuScheduler {
-    match mode {
-        ExecMode::Scan => b.scan_scheduler(true),
-        ExecMode::Parallel { shards } => b.par_shards(shards),
-        ExecMode::Event => b,
-    }
-    .build()
 }
 
 /// The cluster front-end over two devices with least-loaded placement at
@@ -275,7 +264,7 @@ fn serve_open_loop_2dev(mode: ExecMode, horizon: u64) -> Outcome {
         .arrivals(ArrivalProcess::poisson(2.0 * 1.5 * wl.saturation_per_ms()))
         .seed(7);
     let gpus = (0..2)
-        .map(|d| in_mode(device_builder(&cfg, &scfg, d), mode))
+        .map(|d| device_builder(&cfg, &scfg, d).exec_mode(mode).build())
         .collect();
     let res = run_serve_devices(gpus, &wl, &scfg, Placement::LeastLoaded).cluster_result();
     // Fold the cluster's result counters into the equivalence fingerprint.

@@ -115,7 +115,10 @@ impl RunArgs {
                 "--scale" => {
                     let v = it.next().expect("--scale needs a value");
                     out.scale = v.parse().expect("--scale must be a number");
-                    assert!(out.scale > 0.0, "--scale must be positive");
+                    assert!(
+                        out.scale.is_finite() && out.scale > 0.0,
+                        "--scale must be a positive finite number"
+                    );
                 }
                 "--seed" => {
                     let v = it.next().expect("--seed needs a value");
@@ -214,6 +217,18 @@ mod tests {
         assert_eq!(a.jobs, 8);
         let a = RunArgs::parse(s(&["--jobs", "1", "--scale", "0.5"]));
         assert_eq!(a.jobs, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale must be a positive finite number")]
+    fn rejects_infinite_scale() {
+        RunArgs::parse(s(&["--scale", "inf"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale must be a positive finite number")]
+    fn rejects_nan_scale() {
+        RunArgs::parse(s(&["--scale", "NaN"]));
     }
 
     #[test]

@@ -203,7 +203,7 @@ pub fn device_builder(cfg: &GpuConfig, scfg: &ServeConfig, d: usize) -> GpuSched
         .partition(scfg.partition.clone())
         .estimator(scfg.common.estimator)
         .seed(seed)
-        .par_shards(scfg.common.par_shards)
+        .exec_mode(scfg.common.exec_mode())
         .race_check(scfg.common.race_check)
 }
 

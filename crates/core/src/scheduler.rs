@@ -43,7 +43,7 @@ use crate::obs::DrainSample;
 use crate::partition::PartitionPolicy;
 use crate::policy::Policy;
 use crate::preemptor::Preemptor;
-use gpu_sim::{Engine, Event, GpuConfig, KernelId, ShedReason};
+use gpu_sim::{Engine, Event, ExecMode, GpuConfig, KernelId, ShedReason};
 use std::collections::VecDeque;
 
 /// Identifies a registered process.
@@ -122,8 +122,7 @@ pub struct GpuSchedulerBuilder {
     estimator: EstimatorConfig,
     seed: u64,
     event_log_capacity: usize,
-    scan_scheduler: bool,
-    par_shards: usize,
+    exec_mode: ExecMode,
     race_check: bool,
 }
 
@@ -187,21 +186,23 @@ impl GpuSchedulerBuilder {
         self
     }
 
-    /// Use the engine's legacy linear-scan scheduler instead of the event
-    /// calendar (default off; for differential benchmarks). Overrides
-    /// [`par_shards`](GpuSchedulerBuilder::par_shards) when set.
-    pub fn scan_scheduler(mut self, scan: bool) -> Self {
-        self.scan_scheduler = scan;
+    /// Set the engine's execution mode (default [`ExecMode::Event`]).
+    /// Output is byte-identical in every mode; see `PARALLELISM.md`.
+    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
+        self.exec_mode = mode;
         self
     }
 
-    /// Run the engine in [`gpu_sim::ExecMode::Parallel`] with this many SM
-    /// shards advanced on worker threads between epoch barriers (default 0
-    /// = the serial event calendar). Output is byte-identical for every
-    /// value; see `PARALLELISM.md`.
-    pub fn par_shards(mut self, shards: usize) -> Self {
-        self.par_shards = shards;
-        self
+    /// Run the engine in [`ExecMode::Parallel`] with this many SM shards
+    /// advanced on worker threads between epoch barriers; `0` selects the
+    /// serial [`ExecMode::Event`]. Sets the same mode as
+    /// [`exec_mode`](GpuSchedulerBuilder::exec_mode): the later call wins.
+    pub fn par_shards(self, shards: usize) -> Self {
+        self.exec_mode(if shards > 0 {
+            ExecMode::Parallel { shards }
+        } else {
+            ExecMode::Event
+        })
     }
 
     /// Enable the engine's shard-race sanitizer (default off): shared-state
@@ -224,15 +225,7 @@ impl GpuSchedulerBuilder {
         if self.event_log_capacity > 0 {
             engine.enable_event_log(self.event_log_capacity);
         }
-        engine.set_exec_mode(if self.scan_scheduler {
-            gpu_sim::ExecMode::Scan
-        } else if self.par_shards > 0 {
-            gpu_sim::ExecMode::Parallel {
-                shards: self.par_shards,
-            }
-        } else {
-            gpu_sim::ExecMode::Event
-        });
+        engine.set_exec_mode(self.exec_mode);
         if self.race_check {
             engine.enable_race_sanitizer();
         }
@@ -273,8 +266,7 @@ impl GpuScheduler {
             estimator: EstimatorConfig::default(),
             seed: 42,
             event_log_capacity: 0,
-            scan_scheduler: false,
-            par_shards: 0,
+            exec_mode: ExecMode::Event,
             race_check: false,
         }
     }

@@ -158,15 +158,24 @@ impl BlockRun {
         &mut self.warps
     }
 
-    /// Issue up to `chunk` instructions from warp `wi` (allocation-free
-    /// split-borrow of the scaled segment lengths and the warp state).
-    pub(crate) fn issue_warp(
-        &mut self,
-        wi: usize,
-        segments: &[crate::kernel::Segment],
-        chunk: u32,
-    ) -> crate::warp::IssueOutcome {
-        self.warps[wi].issue(segments, &self.scaled_segs, chunk)
+    /// The earliest cycle at which warp `w` could issue, counting the
+    /// block's context-load stall (`None` at a barrier or when done).
+    #[inline]
+    pub(crate) fn warp_ready_at(&self, w: usize) -> Option<u64> {
+        self.warps[w]
+            .next_ready_at()
+            .map(|t| t.max(self.warm_up_until))
+    }
+
+    /// Book `insts` steady instructions for warp `w` (the batched issue:
+    /// no segment completes, so the warp only advances within its
+    /// segment).
+    #[inline]
+    pub(crate) fn issue_steady(&mut self, w: usize, insts: u32) {
+        let warp = &mut self.warps[w];
+        warp.phase = WarpPhase::Ready;
+        warp.done_in_seg += insts;
+        self.add_insts(insts);
     }
 
     /// The block's warps.

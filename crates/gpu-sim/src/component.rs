@@ -1,11 +1,12 @@
-//! Heterogeneous engine participants behind one calendar interface.
+//! Calendar identities of the engine's participants.
 //!
-//! The engine's event calendar used to schedule *SMs only*: a binary heap of
-//! `(cycle, sm_index)` pairs. Multi-GPU scale-out and memory-side modelling
-//! both need other kinds of participants on the same calendar, so the
-//! calendar is now keyed by `(cycle, `[`ComponentId`]`)` and every
-//! participant — the thread-block dispatcher, each SM, each memory
-//! partition — implements the [`Component`] trait.
+//! The engine's event calendar is keyed by `(cycle, `[`ComponentId`]`)`:
+//! the thread-block dispatcher, each SM and each memory partition is one
+//! participant. The engine knows every concrete participant type and
+//! ticks each directly by matching on its id — the dispatcher's tick is
+//! the all-SM dispatch sweep, an SM's is [`crate::Sm::tick_bounded`], a
+//! partition's retires its due requests — so the id is all the calendar
+//! needs. [`TbDispatcher`] holds the dispatcher's arming state.
 //!
 //! # The merge-key argument
 //!
@@ -31,9 +32,6 @@
 //! The derived `Ord` on [`ComponentId`] encodes all of this: variants
 //! compare by declaration order, then by payload.
 
-use crate::sm::{SmOutput, TickLimits};
-use crate::{KernelDesc, MemSubsystem};
-
 /// Stable calendar identity of an engine participant.
 ///
 /// The derived ordering is the tie-break of the calendar's
@@ -57,57 +55,6 @@ pub enum ComponentId {
     Sm(usize),
     /// A memory partition (L2 bank + controller), by index.
     MemPartition(usize),
-}
-
-/// Everything a component may touch while ticking, borrowed from the engine
-/// for the duration of one tick.
-///
-/// Components differ in what they need: an SM consumes all of it, a memory
-/// partition only `now`. Fields a component kind never uses are simply left
-/// `None`/default by the engine.
-#[derive(Debug)]
-pub struct TickCtx<'a> {
-    /// The cycle the component is being advanced to.
-    pub now: u64,
-    /// Engine determinism seed.
-    pub seed: u64,
-    /// Descriptor of the kernel resident on the component (SMs only).
-    pub desc: Option<&'a KernelDesc>,
-    /// The shared memory subsystem (SMs only; a partition *is* memory-side
-    /// state and must not re-borrow the subsystem it lives in).
-    pub mem: Option<&'a mut MemSubsystem>,
-    /// Sink for everything observable the tick produced.
-    pub out: &'a mut SmOutput,
-    /// Bounds on how far the tick may batch ahead.
-    pub limits: TickLimits,
-}
-
-/// A schedulable participant of the engine's event calendar.
-///
-/// The calendar holds `(cycle, ComponentId)` entries with lazy
-/// invalidation: each component's [`next_tick`](Component::next_tick) is
-/// authoritative and stale heap entries are discarded on peek. All
-/// `next_tick` moves go through [`set_next_tick`](Component::set_next_tick)
-/// on the engine's wake path so heap and component never disagree.
-///
-/// [`tick`](Component::tick) advances the component to `ctx.now` and
-/// returns the next cycle it needs the calendar (`u64::MAX` when idle).
-/// One component is special-cased by the engine: the dispatcher's tick
-/// spans *every* SM and kernel queue, so the engine routes it to its
-/// all-SM dispatch sweep rather than through the trait object — the
-/// [`TbDispatcher`] component carries only the calendar arming state.
-pub trait Component {
-    /// This component's calendar identity and merge-key position.
-    fn component_id(&self) -> ComponentId;
-
-    /// The next cycle this component has work, `u64::MAX` when idle.
-    fn next_tick(&self) -> u64;
-
-    /// Move the authoritative next-tick time (engine wake path only).
-    fn set_next_tick(&mut self, t: u64);
-
-    /// Advance to `ctx.now`; returns the new next-tick time.
-    fn tick(&mut self, ctx: TickCtx<'_>) -> u64;
 }
 
 /// The thread-block dispatcher as a calendar component.
@@ -142,33 +89,21 @@ impl TbDispatcher {
     pub fn disarm(&mut self) {
         self.next_tick = u64::MAX;
     }
+
+    /// The cycle of the pending sweep, `u64::MAX` when disarmed.
+    pub(crate) fn next_tick(&self) -> u64 {
+        self.next_tick
+    }
+
+    /// Move the pending sweep (engine wake path only).
+    pub(crate) fn set_next_tick(&mut self, t: u64) {
+        self.next_tick = t;
+    }
 }
 
 impl Default for TbDispatcher {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Component for TbDispatcher {
-    fn component_id(&self) -> ComponentId {
-        ComponentId::Dispatcher
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.next_tick
-    }
-
-    fn set_next_tick(&mut self, t: u64) {
-        self.next_tick = t;
-    }
-
-    fn tick(&mut self, _ctx: TickCtx<'_>) -> u64 {
-        // The sweep itself spans all SMs and kernel queues; the engine runs
-        // it (`Engine::dispatch_all`) when this component pops. Ticking the
-        // component only consumes the arming.
-        self.disarm();
-        u64::MAX
     }
 }
 

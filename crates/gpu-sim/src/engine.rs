@@ -37,18 +37,23 @@
 //!   ticks are replayed serially in `(cycle, component)` calendar order,
 //!   which is precisely the deterministic merge of the per-shard streams.
 //!
-//! The engine schedules heterogeneous participants — the thread-block
-//! dispatcher, every SM, every memory partition — through one
-//! [`Component`] interface. The event-ordering contract all of this rests
-//! on: every observable the engine emits is produced by a serial tick at a
-//! definite `(cycle, component)` point, and consumers receive them in that
-//! lexicographic order.
+//! Every mode runs the same SM tick, [`Sm::tick_bounded`]: the serial loop
+//! passes it the memory subsystem, and the pure phase (`Sm::advance_pure`)
+//! runs it without, so that tick itself reports where a shard must stop.
+//!
+//! The calendar schedules heterogeneous participants — the thread-block
+//! dispatcher, every SM, every memory partition — by [`ComponentId`], and
+//! the engine ticks each one directly: the dispatch sweep, the SM tick,
+//! `MemSubsystem::tick_partition`. The event-ordering contract all of
+//! this rests on: every observable the engine emits is produced by a
+//! serial tick at a definite `(cycle, component)` point, and consumers
+//! receive them in that lexicographic order.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::block::{BlockId, BlockRun, TbSnapshot};
-use crate::component::{Component, ComponentId, TbDispatcher, TickCtx};
+use crate::component::{ComponentId, TbDispatcher};
 use crate::events::{BlockDecision, BlockExit, EventLog, ObsEvent, ShedReason};
 use crate::kernel::{KernelDesc, Segment};
 use crate::mem::MemSubsystem;
@@ -766,26 +771,6 @@ impl Engine {
         self.break_on_kernel_finish = brk;
     }
 
-    /// Switch between the event-calendar scheduler (the default) and the
-    /// legacy linear min-scan reference scheduler.
-    ///
-    /// Scan mode also disables the batched-issue fast path and runs the
-    /// all-SM dispatch sweep on every loop iteration, reproducing the
-    /// pre-event-driven hot loop tick for tick. Both schedulers produce
-    /// byte-identical event streams and statistics — scan mode exists as the
-    /// slow, obviously-correct baseline for differential determinism tests
-    /// and benchmark comparisons. Can be toggled at any point between runs.
-    ///
-    /// Kept as a convenience alias for [`Engine::set_exec_mode`] with
-    /// [`ExecMode::Scan`] / [`ExecMode::Event`].
-    pub fn set_scan_scheduler(&mut self, scan: bool) {
-        self.set_exec_mode(if scan {
-            ExecMode::Scan
-        } else {
-            ExecMode::Event
-        });
-    }
-
     /// Select the execution mode (see [`ExecMode`]). Can be switched at any
     /// point between runs; all modes produce byte-identical output.
     ///
@@ -1223,8 +1208,7 @@ impl Engine {
                     // Retire completed requests into partition statistics;
                     // request timing was decided at issue, so nothing an SM
                     // observes changes here.
-                    let mut out = SmOutput::default();
-                    let next = self.mem.tick_partition(p, self.cycle, &mut out);
+                    let next = self.mem.tick_partition(p, self.cycle);
                     self.wake_component(ComponentId::MemPartition(p), next);
                     continue;
                 }
@@ -1269,18 +1253,16 @@ impl Engine {
                 }),
             };
             let mut out = SmOutput::default();
-            let next = {
-                let ctx = TickCtx {
-                    now: self.cycle,
-                    seed: self.seed,
-                    desc: resident.map(|k| &self.kernels[k.0].desc),
-                    mem: Some(&mut self.mem),
-                    out: &mut out,
-                    limits,
-                };
-                // Qualified: `Sm` also has an inherent single-step `tick`.
-                Component::tick(&mut self.sms[idx], ctx)
-            };
+            let next = self.sms[idx]
+                .tick_bounded(
+                    self.cycle,
+                    resident.map(|k| &self.kernels[k.0].desc),
+                    Some(&mut self.mem),
+                    self.seed,
+                    &mut out,
+                    &limits,
+                )
+                .expect("a tick with the memory subsystem always commits");
             let wake_at = if next == u64::MAX {
                 u64::MAX
             } else {

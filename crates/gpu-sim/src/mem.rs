@@ -8,69 +8,39 @@
 //! behaviour the Chimera evaluation is sensitive to (bandwidth shares set
 //! context-switch times; latency sets the CPI of memory-heavy kernels).
 //!
-//! Since the component-calendar refactor each partition is also an engine
-//! [`crate::component::Component`]: a request enqueues its
-//! completion cycle on the partition, the engine wakes the partition
-//! component at its earliest pending completion, and the partition's tick
+//! Each partition is also a participant of the engine's event calendar
+//! ([`crate::component::ComponentId::MemPartition`]): a request enqueues
+//! its completion cycle on the partition, the engine wakes the partition at
+//! its earliest pending completion, and `MemSubsystem::tick_partition`
 //! retires everything due into partition-local statistics
 //! ([`MemPartitionStats`]). Retirement is pure bookkeeping — request timing
-//! is still decided at issue by the busy-until server — so the component
+//! is still decided at issue by the busy-until server — so the partition
 //! scheduling is unobservable in events, kernel statistics and traces, and
 //! all execution modes stay byte-identical.
+//!
+//! SMs reach the subsystem only through a committing tick
+//! ([`crate::Sm::tick_bounded`] with `Some(mem)`); the parallel engine's
+//! pure phase runs the same tick with `None`, so it has no way to touch a
+//! partition.
 
-use crate::component::{Component, ComponentId, TickCtx};
 use crate::GpuConfig;
 use std::collections::VecDeque;
 
 /// State of one memory partition.
 #[derive(Debug, Clone, Default)]
 struct Partition {
-    /// Partition index (the component identity).
-    index: usize,
     free_at: u64,
     bytes_served: u64,
     /// Completion cycles of in-flight requests. The server is FIFO
     /// busy-until, so completions are non-decreasing and the front is
     /// always the earliest.
     pending: VecDeque<u64>,
-    /// Requests whose completion cycle has been reached and retired by the
-    /// partition's component tick.
+    /// Requests whose completion cycle has been reached and retired by
+    /// [`MemSubsystem::tick_partition`].
     retired: u64,
-    /// Authoritative component next-tick time mirrored by the engine's
-    /// calendar (`u64::MAX` = idle).
+    /// Authoritative next-tick time mirrored by the engine's calendar
+    /// (`u64::MAX` = idle).
     next_tick: u64,
-}
-
-impl Partition {
-    fn new(index: usize) -> Self {
-        Partition {
-            index,
-            next_tick: u64::MAX,
-            ..Partition::default()
-        }
-    }
-}
-
-impl Component for Partition {
-    fn component_id(&self) -> ComponentId {
-        ComponentId::MemPartition(self.index)
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.next_tick
-    }
-
-    fn set_next_tick(&mut self, t: u64) {
-        self.next_tick = t;
-    }
-
-    fn tick(&mut self, ctx: TickCtx<'_>) -> u64 {
-        while self.pending.front().is_some_and(|&done| done <= ctx.now) {
-            self.pending.pop_front();
-            self.retired += 1;
-        }
-        self.pending.front().copied().unwrap_or(u64::MAX)
-    }
 }
 
 /// Observable per-partition counters (served bytes, retired and in-flight
@@ -81,7 +51,7 @@ pub struct MemPartitionStats {
     pub bytes_served: u64,
     /// Requests whose completion cycle has passed and been retired.
     pub requests_retired: u64,
-    /// Requests issued but not yet retired by the component tick.
+    /// Requests issued but not yet retired by the partition tick.
     pub inflight: usize,
 }
 
@@ -116,7 +86,10 @@ impl MemSubsystem {
     pub fn new(cfg: &GpuConfig) -> Self {
         MemSubsystem {
             partitions: (0..cfg.num_mem_partitions.max(1))
-                .map(Partition::new)
+                .map(|_| Partition {
+                    next_tick: u64::MAX,
+                    ..Partition::default()
+                })
                 .collect(),
             bytes_per_cycle: cfg.bytes_per_cycle_per_partition(),
             latency: cfg.mem_latency_cycles,
@@ -127,7 +100,7 @@ impl MemSubsystem {
     }
 
     /// Wire (or clear) the shard-race sanitizer's recording state: every
-    /// partition access and component tick reports itself while set.
+    /// partition access and partition tick reports itself while set.
     pub(crate) fn set_race_state(&mut self, race: Option<std::sync::Arc<crate::race::RaceState>>) {
         self.race = race;
     }
@@ -214,42 +187,28 @@ impl MemSubsystem {
             .collect()
     }
 
-    /// The authoritative component next-tick of partition `idx`
-    /// (`u64::MAX` = idle).
+    /// The authoritative next-tick of partition `idx` (`u64::MAX` = idle).
     pub(crate) fn partition_next_tick(&self, idx: usize) -> u64 {
         self.partitions[idx].next_tick
     }
 
     /// Write partition `idx`'s component next-tick (engine wake path only).
     pub(crate) fn set_partition_next_tick(&mut self, idx: usize, t: u64) {
-        self.partitions[idx].set_next_tick(t);
+        self.partitions[idx].next_tick = t;
     }
 
     /// Tick partition `idx` at `now`: retire every pending completion due,
-    /// returning the new next-tick time. Delegates to the partition's
-    /// [`Component`] implementation.
-    pub(crate) fn tick_partition(
-        &mut self,
-        idx: usize,
-        now: u64,
-        out: &mut crate::sm::SmOutput,
-    ) -> u64 {
+    /// returning the new next-tick time.
+    pub(crate) fn tick_partition(&mut self, idx: usize, now: u64) -> u64 {
         if let Some(race) = &self.race {
             race.note_shared_access(crate::race::SharedResource::MemPartition(idx), None, now);
         }
-        let ctx = TickCtx {
-            now,
-            seed: 0,
-            desc: None,
-            mem: None,
-            out,
-            limits: crate::sm::TickLimits {
-                horizon: now,
-                max_insts: 0,
-                may_gain_blocks: false,
-            },
-        };
-        self.partitions[idx].tick(ctx)
+        let p = &mut self.partitions[idx];
+        while p.pending.front().is_some_and(|&done| done <= now) {
+            p.pending.pop_front();
+            p.retired += 1;
+        }
+        p.pending.front().copied().unwrap_or(u64::MAX)
     }
 
     /// Number of memory partitions.
@@ -390,31 +349,37 @@ mod tests {
         let d1 = m.access(0, 0, 128);
         let d2 = m.access(0, 0, 128);
         assert!(d2 > d1);
-        let mut out = crate::sm::SmOutput::default();
         // Nothing due before d1.
-        let next = m.tick_partition(0, d1 - 1, &mut out);
+        let next = m.tick_partition(0, d1 - 1);
         assert_eq!(next, d1);
         assert_eq!(m.partition_stats()[0].requests_retired, 0);
         // First completes at d1; second still pending.
-        let next = m.tick_partition(0, d1, &mut out);
+        let next = m.tick_partition(0, d1);
         assert_eq!(next, d2);
         let st = m.partition_stats();
         assert_eq!(st[0].requests_retired, 1);
         assert_eq!(st[0].inflight, 1);
         // Both retired once d2 passes; partition goes idle.
-        let next = m.tick_partition(0, d2 + 5, &mut out);
+        let next = m.tick_partition(0, d2 + 5);
         assert_eq!(next, u64::MAX);
         assert_eq!(m.partition_stats()[0].requests_retired, 2);
         assert_eq!(m.partition_stats()[0].inflight, 0);
     }
 
     #[test]
-    fn partition_component_identity_and_wake_bookkeeping() {
-        use crate::component::Component;
-        let mut p = Partition::new(3);
-        assert_eq!(p.component_id(), ComponentId::MemPartition(3));
-        assert_eq!(p.next_tick(), u64::MAX, "idle partitions need no entry");
-        p.set_next_tick(42);
-        assert_eq!(p.next_tick(), 42);
+    fn partition_next_tick_round_trips() {
+        let mut m = mem();
+        assert_eq!(
+            m.partition_next_tick(3),
+            u64::MAX,
+            "idle partitions need no entry"
+        );
+        m.set_partition_next_tick(3, 42);
+        assert_eq!(m.partition_next_tick(3), 42);
+        assert_eq!(
+            m.partition_next_tick(2),
+            u64::MAX,
+            "other partitions untouched"
+        );
     }
 }

@@ -154,12 +154,12 @@ pub struct Sm {
     /// Shard-race sanitizer probe reporting pure-advance windows; `None`
     /// (the default) records nothing (see [`crate::race`]).
     race_probe: Option<crate::race::RaceProbe>,
-    /// Deliberately-racy shared cell bumped from committed pure ticks:
+    /// Deliberately-racy shared cell bumped from pure ticks that issue:
     /// test support for validating the race sanitizer (never set outside
     /// tests; see [`crate::race::TestSharedCell`]).
     test_cell: Option<crate::race::TestSharedCell>,
-    /// Authoritative component next-tick time mirrored by the engine's
-    /// calendar (`u64::MAX` = idle; see [`crate::component::Component`]).
+    /// Authoritative next-tick time mirrored by the engine's calendar
+    /// (`u64::MAX` = idle).
     next_tick: u64,
 }
 
@@ -244,7 +244,8 @@ impl Sm {
     }
 
     /// Attach (or detach) the deliberately-racy test cell (see
-    /// [`crate::race::TestSharedCell`]): every committed pure tick bumps it.
+    /// [`crate::race::TestSharedCell`]): every pure tick that issues
+    /// instructions bumps it.
     pub(crate) fn set_test_shared_cell(&mut self, cell: Option<crate::race::TestSharedCell>) {
         self.test_cell = cell;
     }
@@ -448,10 +449,13 @@ impl Sm {
         seed: u64,
         out: &mut SmOutput,
     ) -> u64 {
-        self.tick_bounded(now, desc, mem, seed, out, &TickLimits::none(now))
+        self.tick_bounded(now, desc, Some(mem), seed, out, &TickLimits::none(now))
+            .expect("a tick with the memory subsystem always commits")
     }
 
-    /// [`Sm::tick`] with a batched-issue fast path bounded by `limits`.
+    /// The SM tick — the one body every engine mode runs: [`Sm::tick`] with
+    /// a batched-issue fast path bounded by `limits`, and the single place
+    /// that decides whether a tick stays inside the SM.
     ///
     /// When the selected warp (and, for round-robin, every currently runnable
     /// warp) sits mid-way through a side-effect-free compute/shared segment,
@@ -459,46 +463,60 @@ impl Sm {
     /// traffic, no segment completions, no events, no scheduler surprises.
     /// Those ticks are replayed in one step, which is where the event-driven
     /// engine gets its throughput on compute phases. With
-    /// [`TickLimits::none`] the fast path never triggers and this is exactly
-    /// `tick`.
+    /// [`TickLimits::none`] the fast path never triggers.
+    ///
+    /// With `mem = Some(..)` (the serial engines, and Phase B of the
+    /// parallel one) every tick commits and the result is `Some(next)`: the
+    /// next cycle at which this SM can make progress (`u64::MAX` when idle).
+    /// With `mem = None` (Phase A, `Sm::advance_pure`) a tick that would
+    /// touch state outside the SM — an L1 miss (every protect store misses),
+    /// a store, atomic or recorded-load effect, the completion of a block,
+    /// or the end of a context save — returns `None` and leaves the SM as
+    /// it found it, scheduler cursor included, so the serial replay of that
+    /// tick starts exactly where the serial engine would. The one change an
+    /// interaction tick keeps is the barrier release that opens every
+    /// unhalted tick: it is block-local and idempotent, and the replay
+    /// performs it first anyway.
     pub fn tick_bounded(
         &mut self,
         now: u64,
         desc: Option<&KernelDesc>,
-        mem: &mut MemSubsystem,
+        mem: Option<&mut MemSubsystem>,
         seed: u64,
         out: &mut SmOutput,
         limits: &TickLimits,
-    ) -> u64 {
+    ) -> Option<u64> {
         // Finish a pending context save.
         if let Some(ap) = &mut self.preempt {
             if !ap.switch_done {
                 let ends = ap.save_ends_at.expect("switch phase requires save_ends_at");
-                if now >= ends {
-                    let set = std::mem::take(&mut ap.switch_set);
-                    self.blocks.retain(|b| {
-                        if set.contains(&b.id.index) {
-                            out.switched_out.push(b.snapshot(now));
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    let ap = self.preempt.as_mut().expect("still preempting");
-                    ap.switch_done = true;
-                    self.rr = 0;
-                    self.last_slot = None;
-                    self.check_preempt_done(now, out);
-                } else {
-                    return ends;
+                if now < ends {
+                    return Some(ends);
                 }
+                // Handing the saved contexts to the engine is an
+                // interaction: without the memory subsystem, stop here.
+                mem.as_ref()?;
+                let set = std::mem::take(&mut ap.switch_set);
+                self.blocks.retain(|b| {
+                    if set.contains(&b.id.index) {
+                        out.switched_out.push(b.snapshot(now));
+                        false
+                    } else {
+                        true
+                    }
+                });
+                let ap = self.preempt.as_mut().expect("still preempting");
+                ap.switch_done = true;
+                self.rr = 0;
+                self.last_slot = None;
+                self.check_preempt_done(now, out);
             }
         }
         if self.blocks.is_empty() {
-            return u64::MAX;
+            return Some(u64::MAX);
         }
         if now < self.halted_until {
-            return self.halted_until;
+            return Some(self.halted_until);
         }
         // Release barriers.
         for b in &mut self.blocks {
@@ -507,81 +525,95 @@ impl Sm {
             }
         }
         if now < self.issue_free_at {
-            return self.issue_free_at;
+            return Some(self.issue_free_at);
         }
         let desc = desc.expect("resident blocks require a kernel descriptor");
-        // Warp selection across (block, warp) pairs. All resident blocks
-        // belong to one kernel, so warps-per-block is uniform and a flat
-        // slot index decomposes without allocation.
-        let wpb = self.blocks[0].warps().len();
-        let n = self.blocks.len() * wpb;
-        let slot_ready = |slot: usize, blocks: &[BlockRun]| -> Option<u64> {
-            let (bi, wi) = (slot / wpb, slot % wpb);
-            blocks[bi].warps()[wi]
-                .next_ready_at()
-                .map(|t| t.max(blocks[bi].warm_up_until))
-        };
-        let mut chosen: Option<(usize, usize)> = None;
-        let mut earliest: u64 = u64::MAX;
-        // Greedy-then-oldest: stick with the last warp while it stays ready.
-        if self.sched == crate::config::WarpSched::GreedyThenOldest {
-            if let Some(s) = self.last_slot.filter(|&s| s < n) {
-                if slot_ready(s, &self.blocks).is_some_and(|t| t <= now) {
-                    chosen = Some((s / wpb, s % wpb));
-                }
-            }
-        }
-        if chosen.is_none() {
-            // Round-robin continues from the cursor; greedy-then-oldest
-            // falls back to the oldest (lowest-slot) ready warp. The loop
-            // visits slots in `(start + k) % n` order but tracks the
-            // (block, warp) decomposition incrementally — this scan runs on
-            // every issue event, and per-slot divisions dominate it when
-            // most warps are stalled on memory.
-            let start = match self.sched {
-                crate::config::WarpSched::LooseRoundRobin => self.rr % n,
-                crate::config::WarpSched::GreedyThenOldest => 0,
-            };
-            let nb = self.blocks.len();
-            let (mut b, mut w) = (start / wpb, start % wpb);
-            for _ in 0..n {
-                let blk = &self.blocks[b];
-                let t = match blk.warps()[w].phase {
-                    WarpPhase::Ready => Some(blk.warm_up_until),
-                    WarpPhase::WaitMem(until) => Some(until.max(blk.warm_up_until)),
-                    WarpPhase::AtBarrier | WarpPhase::Done => None,
+        // Warp selection across (block, warp) slots. All resident blocks
+        // belong to one kernel, so warps-per-block is uniform. Greedy-then-
+        // oldest sticks with the last warp while it stays ready and falls
+        // back to the oldest (lowest-slot) ready warp; round-robin continues
+        // from the cursor. `slot` is the cursor move, made only once the
+        // tick is known to commit.
+        let (nb, wpb) = (self.blocks.len(), self.blocks[0].warps().len());
+        let gto = self.sched == crate::config::WarpSched::GreedyThenOldest;
+        let sticky = self.last_slot.filter(|&s| {
+            gto && s < nb * wpb
+                && self.blocks[s / wpb]
+                    .warp_ready_at(s % wpb)
+                    .is_some_and(|t| t <= now)
+        });
+        let (bi, wi, slot) = match sticky {
+            Some(s) => (s / wpb, s % wpb, None),
+            None => {
+                let start = if gto { 0 } else { self.rr % (nb * wpb) };
+                let mut earliest = u64::MAX;
+                let found = walk_slots(start, nb, wpb, |b, w| {
+                    match self.blocks[b].warp_ready_at(w) {
+                        Some(t) if t <= now => true,
+                        Some(t) => {
+                            earliest = earliest.min(t);
+                            false
+                        }
+                        None => false,
+                    }
+                });
+                // Nothing ready: barriers may have become releasable above,
+                // in which case warps are Ready and we would have found them.
+                let Some((b, w)) = found else {
+                    return Some(earliest);
                 };
-                if let Some(t) = t {
-                    if t <= now {
-                        let s = b * wpb + w;
-                        chosen = Some((b, w));
-                        self.rr = (s + 1) % n;
-                        self.last_slot = Some(s);
-                        break;
-                    }
-                    earliest = earliest.min(t);
-                }
-                w += 1;
-                if w == wpb {
-                    w = 0;
-                    b += 1;
-                    if b == nb {
-                        b = 0;
-                    }
-                }
+                (b, w, Some(b * wpb + w))
             }
-        }
-        let Some((bi, wi)) = chosen else {
-            // Nothing ready: barriers may have become releasable above, in
-            // which case warps are Ready and we would have found them.
-            return earliest;
         };
+        // A steady compute window is pure by construction, so it commits
+        // with or without the memory subsystem.
         let segments = desc.program().segments();
-        if let Some(next) = self.try_issue_batch(now, bi, wi, segments, limits, out) {
-            return next;
+        if let Some(next) = self.try_issue_batch(now, bi, wi, slot, segments, limits, out) {
+            return Some(next);
+        }
+        // Probe the issue on a copy of the warp; nothing is committed until
+        // the tick is classified.
+        let block = &self.blocks[bi];
+        let mut warp = block.warps()[wi];
+        let outcome = warp.issue(segments, block.scaled_segs(), self.issue_chunk);
+        let block_done = outcome.done
+            && block
+                .warps()
+                .iter()
+                .enumerate()
+                .all(|(j, w)| j == wi || w.phase == WarpPhase::Done);
+        let effect = outcome.completed_segment.filter(|&ix| {
+            matches!(
+                segments[ix],
+                Segment::GlobalStore { .. } | Segment::Atomic { .. }
+            ) || (self.record_loads && matches!(segments[ix], Segment::GlobalLoad { .. }))
+        });
+        // Per-SM L1: a deterministic fraction of accesses hits on chip and
+        // never reaches DRAM. Protect stores are non-cacheable by
+        // construction (§3.4) and always go to memory.
+        let access = (outcome.mem_bytes > 0).then(|| {
+            let addr = hash_combine(&[
+                seed,
+                block.id.kernel.0 as u64,
+                u64::from(block.id.index),
+                wi as u64,
+                now,
+            ]);
+            let hit = !outcome.protect_store
+                && crate::rng::unit_f64(hash_combine(&[addr, 0x11CA])) < self.l1_hit_fraction;
+            (addr, hit)
+        });
+        // Without the memory subsystem (Phase A), stop before anything
+        // commits if the tick reaches outside the SM.
+        let shared = block_done || effect.is_some() || access.is_some_and(|(_, hit)| !hit);
+        if shared && mem.is_none() {
+            return None;
+        }
+        if let Some(s) = slot {
+            self.set_cursor(s);
         }
         let block = &mut self.blocks[bi];
-        let outcome = block.issue_warp(wi, segments, self.issue_chunk);
+        block.warps_mut()[wi] = warp;
         if outcome.insts > 0 {
             block.add_insts(outcome.insts);
             self.insts_issued_total += u64::from(outcome.insts);
@@ -600,26 +632,14 @@ impl Sm {
                 block.past_idem_point = true;
             }
         }
-        if outcome.mem_bytes > 0 {
-            let addr = hash_combine(&[
-                seed,
-                block.id.kernel.0 as u64,
-                u64::from(block.id.index),
-                wi as u64,
-                now,
-            ]);
-            // Per-SM L1: a deterministic fraction of accesses hits on chip
-            // and never reaches DRAM. Protect stores are non-cacheable by
-            // construction (§3.4) and always go to memory.
-            let cacheable = !outcome.protect_store;
-            let hit = cacheable
-                && crate::rng::unit_f64(hash_combine(&[addr, 0x11CA])) < self.l1_hit_fraction;
+        if let Some((addr, hit)) = access {
             let ready = if hit {
                 self.l1_hits += 1;
                 now + self.l1_latency
             } else {
                 self.l1_misses += 1;
-                mem.access(now, addr, outcome.mem_bytes)
+                mem.expect("misses commit only with the memory subsystem")
+                    .access(now, addr, outcome.mem_bytes)
             };
             // A warp that just finished its program does not wait for final
             // loads; completion is signalled by the trailing stores.
@@ -627,22 +647,16 @@ impl Sm {
                 block.warps_mut()[wi].stall_until(ready);
             }
         }
-        if let Some(seg_idx) = outcome.completed_segment {
-            if matches!(
-                segments[seg_idx],
-                Segment::GlobalStore { .. } | Segment::Atomic { .. }
-            ) || (self.record_loads && matches!(segments[seg_idx], Segment::GlobalLoad { .. }))
-            {
-                out.effects.push(Effect {
-                    kernel: block.id.kernel,
-                    block: block.id.index,
-                    // simlint: allow(as-narrowing) -- warp index is bounded by warps-per-block (< 64)
-                    warp: wi as u32,
-                    seg_idx,
-                });
-            }
+        if let Some(seg_idx) = effect {
+            out.effects.push(Effect {
+                kernel: block.id.kernel,
+                block: block.id.index,
+                // simlint: allow(as-narrowing) -- warp index is bounded by warps-per-block (< 64)
+                warp: wi as u32,
+                seg_idx,
+            });
         }
-        if outcome.done && block.all_done() {
+        if block_done {
             let id = block.id;
             let insts = block.issued_insts();
             let cycles = block.elapsed_cycles(now);
@@ -652,24 +666,34 @@ impl Sm {
             out.completed.push((id, insts, cycles));
             self.check_preempt_done(now, out);
         }
-        if self.blocks.is_empty() {
+        Some(if self.blocks.is_empty() {
             u64::MAX
         } else {
             self.issue_free_at.max(now + 1)
-        }
+        })
+    }
+
+    /// Move the warp-selection cursor past `slot`, the slot that just
+    /// issued.
+    fn set_cursor(&mut self, slot: usize) {
+        let n = self.blocks.len() * self.blocks[0].warps().len();
+        self.rr = (slot + 1) % n;
+        self.last_slot = Some(slot);
     }
 
     /// Replay a steady compute window — several future ticks of this SM — in
-    /// one step. Called after warp selection chose `(bi, wi)`; returns the
-    /// SM's next-action cycle if a batch was committed, or `None` to fall
-    /// through to the ordinary single-chunk issue.
+    /// one step. Called after warp selection chose `(bi, wi)` and the
+    /// cursor moved for it; returns the SM's next-action cycle if a batch
+    /// was committed, or `None` to fall through to the ordinary
+    /// single-chunk issue.
     ///
     /// The batch is byte-identical to the serial schedule because:
     /// - batched ticks run at `now + j·issue_interval·chunk`, exactly where
     ///   serial ticks land, and the last one stays within `limits.horizon`;
     /// - no warp ever completes its segment inside the window (at least one
     ///   instruction is left), so no effects, block completions, phase
-    ///   changes or idempotence transitions can occur;
+    ///   changes or idempotence transitions can occur — every batched tick
+    ///   is pure, so a batch commits in Phase A too;
     /// - under round-robin the window also ends strictly before the earliest
     ///   future warp wake-up, and covers either whole rotations over the
     ///   runnable slots (when all of them are steady) or a single partial
@@ -678,11 +702,17 @@ impl Sm {
     ///   a turn);
     /// - under greedy-then-oldest the chosen warp never stalls mid-window,
     ///   so it stays selected and the scheduler cursor is untouched.
+    // Out of line on purpose: memory-bound ticks return at the first
+    // checks, and inlining the whole batcher into the tick body slows
+    // every one of them.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn try_issue_batch(
         &mut self,
         now: u64,
         bi: usize,
         wi: usize,
+        slot: Option<usize>,
         segments: &[Segment],
         limits: &TickLimits,
         out: &mut SmOutput,
@@ -703,9 +733,7 @@ impl Sm {
         // Ticks allowed by the horizon: batched tick j runs at
         // now + j·tick_cycles, and the last must not pass the horizon.
         let horizon_ticks = (limits.horizon - now) / tick_cycles + 1;
-        let wpb = self.blocks[0].warps().len();
-        let n = self.blocks.len() * wpb;
-        let chosen_slot = bi * wpb + wi;
+        let (nb, wpb) = (self.blocks.len(), self.blocks[0].warps().len());
         // Bound per-slot totals so the u32 counter updates cannot overflow.
         const INSTS_CAP: u64 = 1 << 30;
         if self.sched == crate::config::WarpSched::GreedyThenOldest {
@@ -719,159 +747,110 @@ impl Sm {
                 return None;
             }
             // simlint: allow(as-narrowing) -- ticks * chunk is capped at INSTS_CAP (2^30) above
-            let per_warp = (ticks * chunk) as u32;
-            let blk = &mut self.blocks[bi];
-            let warp = &mut blk.warps_mut()[wi];
-            warp.phase = WarpPhase::Ready;
-            warp.done_in_seg += per_warp;
-            blk.add_insts(per_warp);
-            self.commit_batch(now, ticks * chunk, out)
-        } else {
-            // Loose round-robin. Classify every slot, walking the rotation
-            // order from the chosen slot — the runnable slots in that order
-            // are exactly the warps the next serial ticks will pick.
-            let nb = self.blocks.len();
-            let mut n_ready = 0u64;
-            let mut min_rem = chosen_rem;
-            let mut wake_min = u64::MAX;
-            let mut all_steady = true;
-            // Length of the rotation prefix of runnable slots that are
-            // steady with more than one chunk left: each of their ticks
-            // issues a plain full chunk with no segment completion.
-            let mut prefix_open = true;
-            let mut prefix_len = 0u64;
-            let (mut b, mut w) = (bi, wi);
-            for _ in 0..n {
-                let blk = &self.blocks[b];
-                if let Some(t) = blk.warps()[w].next_ready_at() {
-                    let t = t.max(blk.warm_up_until);
-                    if t > now {
-                        wake_min = wake_min.min(t);
-                    } else {
-                        n_ready += 1;
-                        match blk.warps()[w].steady_compute_rem(segments, blk.scaled_segs()) {
-                            Some(rem) => {
-                                let rem = u64::from(rem);
-                                min_rem = min_rem.min(rem);
-                                if rem > chunk && prefix_open {
-                                    prefix_len += 1;
-                                } else {
-                                    prefix_open = false;
-                                }
-                            }
-                            None => {
-                                all_steady = false;
-                                prefix_open = false;
-                            }
-                        }
-                    }
-                }
-                // AtBarrier / Done slots are inert for the whole window.
-                w += 1;
-                if w == wpb {
-                    w = 0;
-                    b += 1;
-                    if b == nb {
-                        b = 0;
-                    }
-                }
+            self.blocks[bi].issue_steady(wi, (ticks * chunk) as u32);
+            if let Some(s) = slot {
+                self.set_cursor(s);
             }
-            let mut max_ticks = horizon_ticks;
-            if wake_min != u64::MAX {
-                // The last batched tick must run strictly before the wake-up.
-                max_ticks = max_ticks.min((wake_min - 1 - now) / tick_cycles + 1);
-            }
-            if all_steady {
-                // Whole rotations over the runnable slots.
-                let rot = ((min_rem - 1) / chunk)
-                    .min(max_ticks / n_ready)
-                    .min(limits.max_insts / (n_ready * chunk))
-                    .min(INSTS_CAP / (n_ready * chunk));
-                let ticks = rot * n_ready;
-                if ticks >= 2 {
-                    // simlint: allow(as-narrowing) -- rot * chunk is capped at INSTS_CAP / n_ready above
-                    let per_warp = (rot * chunk) as u32;
-                    for s in 0..n {
-                        let (b, w) = (s / wpb, s % wpb);
-                        let blk = &mut self.blocks[b];
-                        let runnable = blk.warps()[w]
-                            .next_ready_at()
-                            .is_some_and(|t| t.max(blk.warm_up_until) <= now);
-                        if !runnable {
-                            continue;
-                        }
-                        let warp = &mut blk.warps_mut()[w];
-                        warp.phase = WarpPhase::Ready;
-                        warp.done_in_seg += per_warp;
-                        blk.add_insts(per_warp);
-                    }
-                    // The rotation starts at the chosen slot, so its last
-                    // tick issues from the runnable slot cyclically preceding
-                    // it; the cursor ends up just past that slot, exactly as
-                    // after the serial ticks.
-                    let mut last = chosen_slot;
-                    for k in 1..=n {
-                        let s = (chosen_slot + n - k) % n;
-                        let (b, w) = (s / wpb, s % wpb);
-                        let blk = &self.blocks[b];
-                        if blk.warps()[w]
-                            .next_ready_at()
-                            .is_some_and(|t| t.max(blk.warm_up_until) <= now)
-                        {
-                            last = s;
-                            break;
-                        }
-                    }
-                    self.rr = (last + 1) % n;
-                    self.last_slot = Some(last);
-                    return self.commit_batch(now, ticks * chunk, out);
-                }
-            }
-            // Partial rotation: batch one tick for each slot in the steady
-            // prefix. Serial tick `j` picks the `j`-th runnable slot in
-            // rotation order (intermediate non-runnable slots stay asleep —
-            // the window ends before `wake_min` — and prefix ticks complete
-            // nothing, so no barrier or block state changes either).
-            let ticks = prefix_len
-                .min(max_ticks)
-                .min(limits.max_insts / chunk)
-                .min(INSTS_CAP / chunk);
-            if ticks < 2 {
-                return None;
-            }
-            let mut remaining = ticks;
-            let mut last = chosen_slot;
-            let (mut b, mut w) = (bi, wi);
-            for k in 0..n {
-                if remaining == 0 {
-                    break;
-                }
-                let blk = &mut self.blocks[b];
-                let runnable = blk.warps()[w]
-                    .next_ready_at()
-                    .is_some_and(|t| t.max(blk.warm_up_until) <= now);
-                if runnable {
-                    let chunk32 = self.issue_chunk;
-                    let warp = &mut blk.warps_mut()[w];
-                    warp.phase = WarpPhase::Ready;
-                    warp.done_in_seg += chunk32;
-                    blk.add_insts(chunk32);
-                    last = (chosen_slot + k) % n;
-                    remaining -= 1;
-                }
-                w += 1;
-                if w == wpb {
-                    w = 0;
-                    b += 1;
-                    if b == nb {
-                        b = 0;
-                    }
-                }
-            }
-            self.rr = (last + 1) % n;
-            self.last_slot = Some(last);
-            self.commit_batch(now, ticks * chunk, out)
+            return self.commit_batch(now, ticks * chunk, out);
         }
+        // Loose round-robin. Classify every slot, walking the rotation order
+        // from the chosen slot — the runnable slots in that order are
+        // exactly the warps the next serial ticks will pick.
+        let mut n_ready = 0u64;
+        let mut min_rem = chosen_rem;
+        let mut wake_min = u64::MAX;
+        let mut all_steady = true;
+        // Length of the rotation prefix of runnable slots that are steady
+        // with more than one chunk left: each of their ticks issues a plain
+        // full chunk with no segment completion.
+        let mut prefix_open = true;
+        let mut prefix_len = 0u64;
+        // The last runnable slot in rotation order — the one cyclically
+        // preceding the chosen slot — which ends a whole-rotation batch.
+        let mut last_ready = bi * wpb + wi;
+        walk_slots(bi * wpb + wi, nb, wpb, |b, w| {
+            let blk = &self.blocks[b];
+            // AtBarrier / Done slots are inert for the whole window.
+            let Some(t) = blk.warp_ready_at(w) else {
+                return false;
+            };
+            if t > now {
+                wake_min = wake_min.min(t);
+                return false;
+            }
+            n_ready += 1;
+            last_ready = b * wpb + w;
+            match blk.warps()[w].steady_compute_rem(segments, blk.scaled_segs()) {
+                Some(rem) => {
+                    let rem = u64::from(rem);
+                    min_rem = min_rem.min(rem);
+                    if rem > chunk && prefix_open {
+                        prefix_len += 1;
+                    } else {
+                        prefix_open = false;
+                    }
+                }
+                None => {
+                    all_steady = false;
+                    prefix_open = false;
+                }
+            }
+            false
+        });
+        let mut max_ticks = horizon_ticks;
+        if wake_min != u64::MAX {
+            // The last batched tick must run strictly before the wake-up.
+            max_ticks = max_ticks.min((wake_min - 1 - now) / tick_cycles + 1);
+        }
+        if all_steady {
+            // Whole rotations over the runnable slots.
+            let rot = ((min_rem - 1) / chunk)
+                .min(max_ticks / n_ready)
+                .min(limits.max_insts / (n_ready * chunk))
+                .min(INSTS_CAP / (n_ready * chunk));
+            let ticks = rot * n_ready;
+            if ticks >= 2 {
+                // simlint: allow(as-narrowing) -- rot * chunk is capped at INSTS_CAP / n_ready above
+                let per_warp = (rot * chunk) as u32;
+                for blk in &mut self.blocks {
+                    for w in 0..wpb {
+                        if blk.warp_ready_at(w).is_some_and(|t| t <= now) {
+                            blk.issue_steady(w, per_warp);
+                        }
+                    }
+                }
+                // The rotation starts at the chosen slot, so its last tick
+                // issues from `last_ready`; the cursor ends up just past
+                // that slot, exactly as after the serial ticks.
+                self.set_cursor(last_ready);
+                return self.commit_batch(now, ticks * chunk, out);
+            }
+        }
+        // Partial rotation: batch one tick for each slot in the steady
+        // prefix. Serial tick `j` picks the `j`-th runnable slot in rotation
+        // order (intermediate non-runnable slots stay asleep — the window
+        // ends before `wake_min` — and prefix ticks complete nothing, so no
+        // barrier or block state changes either).
+        let ticks = prefix_len
+            .min(max_ticks)
+            .min(limits.max_insts / chunk)
+            .min(INSTS_CAP / chunk);
+        if ticks < 2 {
+            return None;
+        }
+        let mut remaining = ticks;
+        let chunk32 = self.issue_chunk;
+        let last = walk_slots(bi * wpb + wi, nb, wpb, |b, w| {
+            let blk = &mut self.blocks[b];
+            if blk.warp_ready_at(w).is_some_and(|t| t <= now) {
+                blk.issue_steady(w, chunk32);
+                remaining -= 1;
+            }
+            remaining == 0
+        })
+        .expect("the steady prefix holds `ticks` runnable slots");
+        self.set_cursor(last.0 * wpb + last.1);
+        self.commit_batch(now, ticks * chunk, out)
     }
 
     /// Book a committed batch of `insts` warp instructions starting at `now`
@@ -896,17 +875,12 @@ impl Sm {
     /// completions that do not finish the block. The parallel engine runs
     /// this concurrently on disjoint SM shards between epoch barriers.
     ///
-    /// Each candidate tick is first *probed* on a clone of the selected
-    /// warp. If the probe shows an interaction — a completed block (engine
-    /// event + dispatch), a memory effect (functional memory + sanitizer),
-    /// or an L1 miss (shared DRAM queue) — the SM is left exactly as the
-    /// serial engine would find it at that cycle (no state, counter or
-    /// scheduler-cursor changes from the probe) and `(now, issued)` is
-    /// returned so the serial phase replays that tick with the shared
-    /// subsystems in scope. Pure ticks are committed with the same
-    /// bookkeeping, in the same order, as [`Sm::tick_bounded`], including
-    /// its batched-issue fast path, so the post-epoch state is
-    /// byte-identical to a serial replay.
+    /// Each tick is the one [`Sm::tick_bounded`] body run without the
+    /// memory subsystem, so this phase cannot reach shared memory state at
+    /// all. The window stops at the first tick that reports an
+    /// interaction, leaving the SM exactly as the serial engine would find
+    /// it at that cycle; the serial phase replays that tick with the shared
+    /// subsystems in scope.
     ///
     /// Returns `(next_action, issued_insts)`: the cycle at which the SM
     /// next needs the serial engine (`u64::MAX` when idle), and the warp
@@ -918,225 +892,74 @@ impl Sm {
         desc: Option<&KernelDesc>,
         seed: u64,
     ) -> (u64, u64) {
-        let res = self.advance_pure_inner(start, bound, desc, seed);
+        let limits = TickLimits {
+            horizon: bound,
+            max_insts: u64::MAX,
+            may_gain_blocks: false,
+        };
+        let (mut now, mut issued) = (start, 0u64);
+        while now <= bound {
+            let mut out = SmOutput::default();
+            let Some(next) = self.tick_bounded(now, desc, None, seed, &mut out, &limits) else {
+                break;
+            };
+            if out.issued_insts > 0 {
+                issued += u64::from(out.issued_insts);
+                if let Some(cell) = &self.test_cell {
+                    cell.bump(self.id, now);
+                }
+            }
+            now = next;
+        }
         if let Some(probe) = &self.race_probe {
             // Claim this SM's local state in the shadow ownership map and
             // report the committed work, so a clean report proves the
             // oracle actually observed Phase-A traffic.
-            probe.on_pure_window(self.id, res.1);
+            probe.on_pure_window(self.id, issued);
         }
-        res
+        (now, issued)
     }
 
-    fn advance_pure_inner(
-        &mut self,
-        start: u64,
-        bound: u64,
-        desc: Option<&KernelDesc>,
-        seed: u64,
-    ) -> (u64, u64) {
-        debug_assert!(
-            self.preempt.is_none(),
-            "parallel phase excludes preempting SMs"
-        );
-        let mut now = start;
-        let mut issued: u64 = 0;
-        loop {
-            if now > bound {
-                return (now, issued);
-            }
-            if self.blocks.is_empty() {
-                return (u64::MAX, issued);
-            }
-            if now < self.halted_until {
-                now = self.halted_until;
-                continue;
-            }
-            // Barrier release is block-local and idempotent: if the tick at
-            // `now` turns out to be an interaction, the serial replay finds
-            // the barriers already released — exactly the state its own
-            // release pass would have produced.
-            for b in &mut self.blocks {
-                if b.barrier_ready() {
-                    b.release_barrier();
-                }
-            }
-            if now < self.issue_free_at {
-                now = self.issue_free_at;
-                continue;
-            }
-            let desc = desc.expect("resident blocks require a kernel descriptor");
-            let wpb = self.blocks[0].warps().len();
-            let n = self.blocks.len() * wpb;
-            let slot_ready = |slot: usize, blocks: &[BlockRun]| -> Option<u64> {
-                let (bi, wi) = (slot / wpb, slot % wpb);
-                blocks[bi].warps()[wi]
-                    .next_ready_at()
-                    .map(|t| t.max(blocks[bi].warm_up_until))
-            };
-            // Warp selection mirrors `tick_bounded`, except the cursor
-            // update is deferred until the tick is known to be pure.
-            let mut chosen: Option<(usize, usize)> = None;
-            let mut commit_slot: Option<usize> = None;
-            let mut earliest: u64 = u64::MAX;
-            if self.sched == crate::config::WarpSched::GreedyThenOldest {
-                if let Some(s) = self.last_slot.filter(|&s| s < n) {
-                    if slot_ready(s, &self.blocks).is_some_and(|t| t <= now) {
-                        chosen = Some((s / wpb, s % wpb));
-                    }
-                }
-            }
-            if chosen.is_none() {
-                let start_slot = match self.sched {
-                    crate::config::WarpSched::LooseRoundRobin => self.rr % n,
-                    crate::config::WarpSched::GreedyThenOldest => 0,
-                };
-                let nb = self.blocks.len();
-                let (mut b, mut w) = (start_slot / wpb, start_slot % wpb);
-                for _ in 0..n {
-                    let blk = &self.blocks[b];
-                    let t = match blk.warps()[w].phase {
-                        WarpPhase::Ready => Some(blk.warm_up_until),
-                        WarpPhase::WaitMem(until) => Some(until.max(blk.warm_up_until)),
-                        WarpPhase::AtBarrier | WarpPhase::Done => None,
-                    };
-                    if let Some(t) = t {
-                        if t <= now {
-                            chosen = Some((b, w));
-                            commit_slot = Some(b * wpb + w);
-                            break;
-                        }
-                        earliest = earliest.min(t);
-                    }
-                    w += 1;
-                    if w == wpb {
-                        w = 0;
-                        b += 1;
-                        if b == nb {
-                            b = 0;
-                        }
-                    }
-                }
-            }
-            let Some((bi, wi)) = chosen else {
-                // `earliest == u64::MAX` falls out at the top of the loop as
-                // an idle return once it exceeds `bound`.
-                now = if earliest == u64::MAX {
-                    return (u64::MAX, issued);
-                } else {
-                    earliest
-                };
-                continue;
-            };
-            // Probe the issue on a clone of the warp; nothing is committed
-            // until the tick is classified.
-            let segments = desc.program().segments();
-            let blk = &self.blocks[bi];
-            let mut probe = blk.warps()[wi].clone();
-            let outcome = probe.issue(segments, blk.scaled_segs(), self.issue_chunk);
-            let block_completes = outcome.done
-                && blk
-                    .warps()
-                    .iter()
-                    .enumerate()
-                    .all(|(j, w)| j == wi || w.phase == WarpPhase::Done);
-            let effectful = outcome.completed_segment.is_some_and(|ix| {
-                matches!(
-                    segments[ix],
-                    Segment::GlobalStore { .. } | Segment::Atomic { .. }
-                ) || (self.record_loads && matches!(segments[ix], Segment::GlobalLoad { .. }))
-            });
-            let mut mem_shared = false;
-            if outcome.mem_bytes > 0 {
-                let addr = hash_combine(&[
-                    seed,
-                    blk.id.kernel.0 as u64,
-                    u64::from(blk.id.index),
-                    wi as u64,
-                    now,
-                ]);
-                let cacheable = !outcome.protect_store;
-                let hit = cacheable
-                    && crate::rng::unit_f64(hash_combine(&[addr, 0x11CA])) < self.l1_hit_fraction;
-                mem_shared = !hit;
-            }
-            if block_completes || effectful || mem_shared {
-                return (now, issued);
-            }
-            // Pure tick: commit the scheduler cursor exactly where the
-            // serial selection would, then prefer the batched fast path
-            // (identical to the serial engine's) before committing the
-            // probed single-chunk issue.
-            if let Some(s) = commit_slot {
-                self.rr = (s + 1) % n;
-                self.last_slot = Some(s);
-            }
-            let limits = TickLimits {
-                horizon: bound,
-                max_insts: u64::MAX,
-                may_gain_blocks: false,
-            };
-            let mut out = SmOutput::default();
-            if let Some(next) = self.try_issue_batch(now, bi, wi, segments, &limits, &mut out) {
-                if let Some(cell) = &self.test_cell {
-                    cell.bump(self.id, now);
-                }
-                issued += u64::from(out.issued_insts);
-                now = next;
-                continue;
-            }
-            if let Some(cell) = &self.test_cell {
-                cell.bump(self.id, now);
-            }
-            let block = &mut self.blocks[bi];
-            block.warps_mut()[wi] = probe;
-            if outcome.insts > 0 {
-                block.add_insts(outcome.insts);
-                self.insts_issued_total += u64::from(outcome.insts);
-                issued += u64::from(outcome.insts);
-                self.issue_free_at = now + self.issue_interval * u64::from(outcome.insts);
-            }
-            debug_assert!(!outcome.protect_store, "protect stores always miss L1");
-            if let Some(ix) = completed_segment_of(&outcome) {
-                if desc.program().segment_non_idempotent(ix) {
-                    block.past_idem_point = true;
-                }
-            }
-            if outcome.mem_bytes > 0 {
-                // Classified pure, so this access hit in the L1.
-                self.l1_hits += 1;
-                if outcome.mem_blocking && !outcome.done {
-                    block.warps_mut()[wi].stall_until(now + self.l1_latency);
-                }
-            }
-            now = self.issue_free_at.max(now + 1);
-        }
-    }
-}
-
-impl crate::component::Component for Sm {
-    fn component_id(&self) -> crate::component::ComponentId {
-        crate::component::ComponentId::Sm(self.id)
-    }
-
-    fn next_tick(&self) -> u64 {
+    /// The authoritative next-tick time mirrored by the engine's calendar
+    /// (`u64::MAX` = idle).
+    pub(crate) fn next_tick(&self) -> u64 {
         self.next_tick
     }
 
-    fn set_next_tick(&mut self, t: u64) {
+    /// Move the next-tick time (engine wake path only).
+    pub(crate) fn set_next_tick(&mut self, t: u64) {
         self.next_tick = t;
     }
+}
 
-    fn tick(&mut self, ctx: crate::component::TickCtx<'_>) -> u64 {
-        self.tick_bounded(
-            ctx.now,
-            ctx.desc,
-            ctx.mem.expect("SM ticks need the memory subsystem"),
-            ctx.seed,
-            ctx.out,
-            &ctx.limits,
-        )
+/// Visit the `nb · wpb` (block, warp) slots in rotation order from flat
+/// slot `start` until `visit` returns `true`, and return that slot. The
+/// decomposition is tracked incrementally: warp selection walks the slots
+/// on every issue event, and per-slot divisions dominate it when most
+/// warps are stalled on memory. Always inlined, so each caller's closure
+/// compiles to a plain loop.
+#[inline(always)]
+fn walk_slots(
+    start: usize,
+    nb: usize,
+    wpb: usize,
+    mut visit: impl FnMut(usize, usize) -> bool,
+) -> Option<(usize, usize)> {
+    let (mut b, mut w) = (start / wpb, start % wpb);
+    for _ in 0..nb * wpb {
+        if visit(b, w) {
+            return Some((b, w));
+        }
+        w += 1;
+        if w == wpb {
+            w = 0;
+            b += 1;
+            if b == nb {
+                b = 0;
+            }
+        }
     }
+    None
 }
 
 /// The segment that `outcome`'s instructions came from, if instructions were
@@ -1501,6 +1324,102 @@ mod tests {
         )
         .unwrap();
         assert!(!sm.can_dispatch(KernelId(0), 8));
+    }
+
+    /// The parallel engine's half of the one tick body: run without the
+    /// memory subsystem, a tick that would touch shared state reports an
+    /// interaction and changes nothing (scheduler cursor included), and
+    /// the committing tick at that cycle then leaves the SM, its output and
+    /// memory exactly as on a twin SM that only ever ticked serially.
+    #[test]
+    fn pure_ticks_stop_at_interactions_without_changing_the_sm() {
+        let cases: [(&str, f64, Vec<Segment>); 5] = [
+            ("l1 miss", 0.0, vec![Segment::load(8), Segment::compute(64)]),
+            (
+                "global store",
+                1.0,
+                vec![Segment::store(1), Segment::compute(64)],
+            ),
+            (
+                "atomic",
+                1.0,
+                vec![Segment::atomic(1), Segment::compute(64)],
+            ),
+            ("block completion", 1.0, vec![Segment::compute(4)]),
+            (
+                "protect store",
+                1.0,
+                vec![Segment::ProtectStore, Segment::compute(64)],
+            ),
+        ];
+        for (kind, l1_hit_fraction, segs) in cases {
+            let cfg = GpuConfig {
+                l1_hit_fraction,
+                ..cfg()
+            };
+            let d = desc(segs);
+            let (mut sm, mut twin) = (Sm::new(0, &cfg), Sm::new(0, &cfg));
+            let (mut mem, mut twin_mem) = (MemSubsystem::new(&cfg), MemSubsystem::new(&cfg));
+            let id = BlockId {
+                kernel: KernelId(0),
+                index: 0,
+            };
+            sm.dispatch(BlockRun::new(id, &d, 1, 0));
+            twin.dispatch(BlockRun::new(id, &d, 1, 0));
+            let mut now = 0;
+            let out = loop {
+                assert!(now < 10_000, "{kind}: no interaction reached");
+                let limits = TickLimits::none(now);
+                let before = format!("{sm:?}");
+                let mut out = SmOutput::default();
+                let mut twin_out = SmOutput::default();
+                let pure = sm.tick_bounded(now, Some(&d), None, 1, &mut out, &limits);
+                if pure.is_none() {
+                    assert_eq!(
+                        format!("{sm:?}"),
+                        before,
+                        "{kind}: interaction changed the SM"
+                    );
+                    assert_eq!(format!("{out:?}"), format!("{:?}", SmOutput::default()));
+                }
+                let next = match pure {
+                    Some(next) => next,
+                    None => sm
+                        .tick_bounded(now, Some(&d), Some(&mut mem), 1, &mut out, &limits)
+                        .unwrap(),
+                };
+                let twin_next = twin.tick(now, Some(&d), &mut twin_mem, 1, &mut twin_out);
+                assert_eq!(next, twin_next, "{kind}: next cycle at {now}");
+                assert_eq!(
+                    format!("{sm:?}"),
+                    format!("{twin:?}"),
+                    "{kind}: SM at {now}"
+                );
+                assert_eq!(
+                    format!("{out:?}"),
+                    format!("{twin_out:?}"),
+                    "{kind}: output at {now}"
+                );
+                assert_eq!(
+                    format!("{mem:?}"),
+                    format!("{twin_mem:?}"),
+                    "{kind}: memory at {now}"
+                );
+                if pure.is_none() {
+                    break out;
+                }
+                now = next;
+            };
+            let interacted = match kind {
+                "l1 miss" | "protect store" => sm.l1_counters().1 == 1,
+                "block completion" => out.completed.len() == 1,
+                _ => out.effects.len() == 1,
+            };
+            assert!(
+                interacted,
+                "{kind}: the replayed tick must be the interaction"
+            );
+        }
     }
 }
 

@@ -42,7 +42,7 @@ pub struct IssueOutcome {
 }
 
 /// Per-warp execution state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Warp {
     /// Warp index within its block.
     pub index: u32,
