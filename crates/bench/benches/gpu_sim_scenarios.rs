@@ -23,7 +23,8 @@
 //!   `BENCH_gpu_sim.json` at the workspace root).
 //! - `CHIMERA_BENCH_BASELINE=path` — compare against a checked-in baseline
 //!   and exit non-zero when any scenario's event-mode throughput regressed
-//!   by more than 2x (slack for machine-to-machine variance).
+//!   by more than 2x (slack for machine-to-machine variance), when the file
+//!   cannot be read, or when a timed scenario is missing from it.
 //! - `CHIMERA_BENCH_SHARDS=n` — shard count for the parallel-mode timing
 //!   rows (defaults to the machine's available parallelism, capped at 8).
 
@@ -33,7 +34,6 @@ use chimera::runner::cluster::{device_builder, run_serve_devices, Placement};
 use chimera::runner::serve::{ArrivalProcess, ServeConfig};
 use chimera::select::{select_preemptions, SelectionRequest};
 use chimera::{EstimatorConfig, GpuScheduler, ObsBank, PartitionPolicy};
-use criterion::{BenchmarkId, Criterion, Throughput};
 use gpu_sim::{
     Engine, Event, ExecMode, GpuConfig, KernelDesc, Program, Segment, SmPreemptPlan, Technique,
 };
@@ -392,13 +392,35 @@ fn bench_shards() -> usize {
         .clamp(1, 8)
 }
 
+/// Wall time of the fastest of `samples` timed runs of `f`, after one
+/// untimed warm-up run. The minimum, not the mean: background load only
+/// ever slows a run, so the fastest one tracks the engine, not the machine.
+fn fastest_ns<O>(samples: usize, mut f: impl FnMut() -> O) -> u128 {
+    std::hint::black_box(f());
+    (0..samples)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_nanos()
+        })
+        .min()
+        .unwrap_or(0)
+}
+
 fn main() {
     let fast = std::env::var("CHIMERA_BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty());
     let samples = if fast { 2 } else { 5 };
     let only = std::env::var("CHIMERA_BENCH_ONLY").ok();
     let shards = bench_shards();
     let par = ExecMode::Parallel { shards };
-    let mut c = Criterion::default();
+    // Read the baseline before timing anything, so a missing file fails
+    // the gate at once instead of after the whole run.
+    let baseline = std::env::var("CHIMERA_BENCH_BASELINE").ok().map(|path| {
+        std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("cannot read baseline {path}: {e}");
+            std::process::exit(1)
+        })
+    });
     let mut rows = Vec::new();
     for s in SCENARIOS {
         if let Some(f) = &only {
@@ -428,35 +450,25 @@ fn main() {
                 s.name
             );
         }
-        let mut g = c.benchmark_group(s.name);
-        g.sample_size(samples)
-            .throughput(Throughput::Elements(horizon));
-        g.bench_with_input(BenchmarkId::from_parameter("event"), &horizon, |b, &h| {
-            b.iter(|| std::hint::black_box((s.run)(ExecMode::Event, h)))
+        let timed = [
+            ("event", ExecMode::Event),
+            ("scan", ExecMode::Scan),
+            ("par", par),
+        ];
+        let [event_ns, scan_ns, par_ns] = timed.map(|(label, mode)| {
+            let ns = fastest_ns(samples, || (s.run)(mode, horizon));
+            println!(
+                "{:<24} {label:<5} {ns:>14} ns (fastest of {samples})",
+                s.name
+            );
+            ns
         });
-        g.bench_with_input(BenchmarkId::from_parameter("scan"), &horizon, |b, &h| {
-            b.iter(|| std::hint::black_box((s.run)(ExecMode::Scan, h)))
-        });
-        g.bench_with_input(BenchmarkId::from_parameter("par"), &horizon, |b, &h| {
-            b.iter(|| std::hint::black_box((s.run)(par, h)))
-        });
-        g.finish();
-        let results = c.take_results();
-        // Fastest sample, not the mean: background load only ever slows a
-        // sample, so the minimum tracks the engine, not the machine.
-        let min = |suffix: &str| {
-            results
-                .iter()
-                .find(|r| r.id.ends_with(suffix))
-                .map(|r| r.min_ns)
-                .unwrap_or(0)
-        };
         rows.push(Row {
             name: s.name,
             cycles: event_out.cycle.max(horizon),
-            event_ns: min("/event"),
-            scan_ns: min("/scan"),
-            par_ns: min("/par"),
+            event_ns,
+            scan_ns,
+            par_ns,
         });
     }
     let json = render_json(&rows, fast, shards);
@@ -465,7 +477,7 @@ fn main() {
     let mut f = std::fs::File::create(&out_path).expect("create bench output");
     f.write_all(json.as_bytes()).expect("write bench output");
     println!("\nwrote {out_path}");
-    if let Ok(baseline) = std::env::var("CHIMERA_BENCH_BASELINE") {
+    if let Some(baseline) = baseline {
         check_regression(&rows, &baseline);
     }
 }
@@ -523,18 +535,14 @@ fn baseline_rate(text: &str, name: &str) -> Option<f64> {
     tail[..end].trim().parse().ok()
 }
 
-fn check_regression(rows: &[Row], baseline_path: &str) {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("no baseline at {baseline_path} ({e}); skipping regression gate");
-            return;
-        }
-    };
+/// Exit non-zero when a timed scenario is missing from the baseline `text`
+/// or its event-mode throughput regressed by more than 2x.
+fn check_regression(rows: &[Row], text: &str) {
     let mut failed = false;
     for r in rows {
-        let Some(base) = baseline_rate(&text, r.name) else {
-            eprintln!("{}: not in baseline; skipping", r.name);
+        let Some(base) = baseline_rate(text, r.name) else {
+            eprintln!("{}: not in baseline", r.name);
+            failed = true;
             continue;
         };
         let cur = r.cycles_per_sec(r.event_ns);

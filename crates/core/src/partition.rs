@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use gpu_sim::{Engine, KernelId};
+
 /// How SMs are divided among concurrently running jobs.
 ///
 /// ```
@@ -112,6 +114,21 @@ impl PartitionPolicy {
             }
         }
     }
+}
+
+/// Demand in SMs of a job whose current kernel is `kernel`: the SMs its
+/// unfinished blocks would fill at the kernel's occupancy, 0 for no kernel
+/// or a finished one. Size-bound kernels demand fewer SMs than an even
+/// share, which is what [`PartitionPolicy::shares`] donates.
+pub(crate) fn demand(engine: &Engine, kernel: Option<KernelId>) -> usize {
+    let Some(k) = kernel else { return 0 };
+    let stats = engine.kernel_stats(k);
+    if stats.finished {
+        return 0;
+    }
+    let unfinished = u64::from(stats.grid_blocks - stats.completed_tbs);
+    let occ = u64::from(engine.kernel_occupancy(k)).max(1);
+    usize::try_from(unfinished.div_ceil(occ)).expect("per-kernel SM demand exceeds usize")
 }
 
 /// Give unassigned SMs to jobs (in `order`) that still have unmet demand.

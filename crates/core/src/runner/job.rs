@@ -82,10 +82,7 @@ impl Job {
     pub fn useful_insts(&self, engine: &Engine) -> u64 {
         self.instances
             .iter()
-            .map(|&k| {
-                let s = engine.kernel_stats(k);
-                s.issued_insts.saturating_sub(s.wasted_flush_insts)
-            })
+            .map(|&k| engine.kernel_stats(k).useful_insts())
             .sum()
     }
 

@@ -9,7 +9,7 @@
 //! is what makes these workloads preemption-heavy.
 
 use crate::cost::EstimatorConfig;
-use crate::partition::PartitionPolicy;
+use crate::partition::{demand, PartitionPolicy};
 use crate::policy::Policy;
 use crate::preemptor::{InFlight, Preemptor};
 use crate::runner::{Job, RunCommon};
@@ -195,22 +195,6 @@ pub fn run_pair(
     }
 }
 
-/// Demand in SMs of a job's current kernel (size-bound adjustment).
-fn demand(engine: &Engine, job: &Job) -> usize {
-    match job.current() {
-        None => 0,
-        Some(k) => {
-            let stats = engine.kernel_stats(k);
-            if stats.finished {
-                return 0;
-            }
-            let unfinished = u64::from(stats.grid_blocks - stats.completed_tbs);
-            let occ = u64::from(engine.kernel_occupancy(k)).max(1);
-            unfinished.div_ceil(occ) as usize
-        }
-    }
-}
-
 fn rebalance(
     engine: &mut Engine,
     cfg: &GpuConfig,
@@ -220,7 +204,10 @@ fn rebalance(
     mcfg: &MultiprogConfig,
 ) {
     let total = cfg.num_sms;
-    let d = [demand(engine, &jobs[0]), demand(engine, &jobs[1])];
+    let d = [
+        demand(engine, jobs[0].current()),
+        demand(engine, jobs[1].current()),
+    ];
     let desired = mcfg.partition.shares(total, &d);
     let counts = [
         owner.iter().filter(|&&o| o == 0).count(),

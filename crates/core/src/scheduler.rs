@@ -40,7 +40,7 @@
 
 use crate::cost::EstimatorConfig;
 use crate::obs::DrainSample;
-use crate::partition::PartitionPolicy;
+use crate::partition::{demand, PartitionPolicy};
 use crate::policy::Policy;
 use crate::preemptor::Preemptor;
 use gpu_sim::{Engine, Event, ExecMode, GpuConfig, KernelId, ShedReason};
@@ -357,10 +357,7 @@ impl GpuScheduler {
         self.procs[proc.0]
             .kernels
             .iter()
-            .map(|&k| {
-                let s = self.engine.kernel_stats(k);
-                s.issued_insts.saturating_sub(s.wasted_flush_insts)
-            })
+            .map(|&k| self.engine.kernel_stats(k).useful_insts())
             .sum()
     }
 
@@ -431,26 +428,14 @@ impl GpuScheduler {
         }
     }
 
-    fn demand(&self, pi: usize) -> usize {
-        match self.procs[pi].current {
-            None => 0,
-            Some(k) => {
-                let stats = self.engine.kernel_stats(k);
-                if stats.finished {
-                    return 0;
-                }
-                let unfinished = u64::from(stats.grid_blocks - stats.completed_tbs);
-                let occ = u64::from(self.engine.kernel_occupancy(k)).max(1);
-                usize::try_from(unfinished.div_ceil(occ))
-                    .expect("per-kernel SM demand exceeds usize")
-            }
-        }
-    }
-
     fn repartition(&mut self) {
         let n_procs = self.procs.len();
         let n_sms = self.engine.config().num_sms;
-        let demands: Vec<usize> = (0..n_procs).map(|pi| self.demand(pi)).collect();
+        let demands: Vec<usize> = self
+            .procs
+            .iter()
+            .map(|p| demand(&self.engine, p.current))
+            .collect();
         if demands.iter().all(|&d| d == 0) {
             return;
         }

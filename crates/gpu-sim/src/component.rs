@@ -6,7 +6,8 @@
 //! ticks each directly by matching on its id — the dispatcher's tick is
 //! the all-SM dispatch sweep, an SM's is [`crate::Sm::tick_bounded`], a
 //! partition's retires its due requests — so the id is all the calendar
-//! needs. [`TbDispatcher`] holds the dispatcher's arming state.
+//! needs. The crate-private `TbDispatcher` holds the dispatcher's arming
+//! state.
 //!
 //! # The merge-key argument
 //!
@@ -61,11 +62,12 @@ pub enum ComponentId {
 ///
 /// Replaces the engine's old `dispatch_dirty: bool`: instead of a flag the
 /// run loop checks at the top of every iteration, a dispatch-relevant
-/// transition *arms* the dispatcher at the cycle it happened, and the
+/// transition *arms* the dispatcher at the cycle it happened (the engine's
+/// `mark_dispatch_dirty`; an earlier pending request wins), and the
 /// calendar pops it — before any SM due at the same or a later cycle, per
 /// the merge-key ordering — to run the sweep.
 #[derive(Debug, Clone)]
-pub struct TbDispatcher {
+pub(crate) struct TbDispatcher {
     next_tick: u64,
 }
 
@@ -78,11 +80,6 @@ impl TbDispatcher {
     /// Whether a sweep is pending.
     pub fn armed(&self) -> bool {
         self.next_tick != u64::MAX
-    }
-
-    /// Request a sweep at `cycle` (keeps an earlier pending request).
-    pub fn arm(&mut self, cycle: u64) {
-        self.next_tick = self.next_tick.min(cycle);
     }
 
     /// Clear the pending sweep (it is about to run).
@@ -98,12 +95,6 @@ impl TbDispatcher {
     /// Move the pending sweep (engine wake path only).
     pub(crate) fn set_next_tick(&mut self, t: u64) {
         self.next_tick = t;
-    }
-}
-
-impl Default for TbDispatcher {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -134,16 +125,11 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_arming_keeps_earliest_request() {
+    fn dispatcher_starts_armed_and_disarms() {
         let mut d = TbDispatcher::new();
         assert!(d.armed(), "fresh engines must sweep once");
         d.disarm();
         assert!(!d.armed());
-        d.arm(100);
-        d.arm(200);
-        assert_eq!(d.next_tick(), 100, "earlier arming wins");
-        d.arm(50);
-        assert_eq!(d.next_tick(), 50);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod trace;
 pub mod warp;
 
 pub use block::{BlockId, BlockRun, BlockStats, TbSnapshot};
-pub use component::{ComponentId, TbDispatcher};
+pub use component::ComponentId;
 pub use config::{GpuConfig, WarpSched, CYCLES_PER_US};
 pub use engine::{Engine, Event, ExecMode, KernelId};
 pub use events::{BlockDecision, BlockExit, EventLog, ObsEvent, ShedReason, TechniqueEstimate};

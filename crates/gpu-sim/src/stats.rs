@@ -43,6 +43,11 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
+    /// Useful warp instructions: issued minus those discarded by flushes.
+    pub fn useful_insts(&self) -> u64 {
+        self.issued_insts.saturating_sub(self.wasted_flush_insts)
+    }
+
     /// Average instructions per completed block, if any completed.
     pub fn avg_tb_insts(&self) -> Option<f64> {
         (self.completed_tbs > 0)

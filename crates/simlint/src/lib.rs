@@ -615,8 +615,9 @@ impl Scope {
     /// The workspace scope (see `LINTS.md`): strict rules over the engine
     /// and policy crates, wide rules over every non-vendored crate, with
     /// the sanctioned threading/wall-clock modules allowlisted. The
-    /// vendored `proptest`/`criterion` shims are out of scope entirely —
-    /// they emulate upstream APIs (including their nondeterminism).
+    /// vendored `proptest` shim is out of scope entirely — it emulates an
+    /// upstream API (including its nondeterminism) — and so is
+    /// `crates/bench/benches`, whose timing harness reads the wall clock.
     pub fn workspace() -> Scope {
         let strict = ["crates/gpu-sim/src", "crates/core/src"];
         let wide = [

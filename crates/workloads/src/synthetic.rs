@@ -2,8 +2,8 @@
 //!
 //! The Table 2 kernels pin down the paper's exact evaluation points; this
 //! builder spans the *space* around them — block duration, memory intensity,
-//! occupancy, idempotence-point position — for sensitivity studies, fuzzing
-//! and micro-benchmarks.
+//! occupancy, idempotence-point position — for examples and experiments
+//! beyond the suite.
 
 use crate::solve::{INPUT_BUFFER, OUTPUT_BUFFER, THREADS_PER_BLOCK};
 use gpu_sim::{AccessRegion, GpuConfig, KernelDesc, Program, Segment};
