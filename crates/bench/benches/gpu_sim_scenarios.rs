@@ -24,7 +24,10 @@
 //! - `CHIMERA_BENCH_BASELINE=path` — compare against a checked-in baseline
 //!   and exit non-zero when any scenario's event-mode throughput regressed
 //!   by more than 2x (slack for machine-to-machine variance), when the file
-//!   cannot be read, or when a timed scenario is missing from it.
+//!   cannot be read, when it was written in the other mode (fast-mode rates
+//!   spread setup over a tenth of the cycles, so they only compare with a
+//!   fast-mode baseline such as `BENCH_gpu_sim_fast.json`), or when a timed
+//!   scenario is missing from it.
 //! - `CHIMERA_BENCH_SHARDS=n` — shard count for the parallel-mode timing
 //!   rows (defaults to the machine's available parallelism, capped at 8).
 
@@ -409,17 +412,27 @@ fn fastest_ns<O>(samples: usize, mut f: impl FnMut() -> O) -> u128 {
 
 fn main() {
     let fast = std::env::var("CHIMERA_BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty());
-    let samples = if fast { 2 } else { 5 };
+    let (mode, samples) = if fast { ("fast", 2) } else { ("full", 5) };
     let only = std::env::var("CHIMERA_BENCH_ONLY").ok();
     let shards = bench_shards();
     let par = ExecMode::Parallel { shards };
-    // Read the baseline before timing anything, so a missing file fails
-    // the gate at once instead of after the whole run.
+    // Read the baseline before timing anything, so a missing file or a
+    // baseline from the other mode fails the gate at once instead of after
+    // the whole run.
     let baseline = std::env::var("CHIMERA_BENCH_BASELINE").ok().map(|path| {
-        std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("cannot read baseline {path}: {e}");
             std::process::exit(1)
-        })
+        });
+        let base_mode = json_str(&text, "mode");
+        if base_mode != Some(mode) {
+            eprintln!(
+                "baseline {path} is {}-mode, this run is {mode}-mode: rates do not compare",
+                base_mode.unwrap_or("unknown")
+            );
+            std::process::exit(1)
+        }
+        text
     });
     let mut rows = Vec::new();
     for s in SCENARIOS {
@@ -471,7 +484,7 @@ fn main() {
             par_ns,
         });
     }
-    let json = render_json(&rows, fast, shards);
+    let json = render_json(&rows, mode, shards);
     let out_path = std::env::var("CHIMERA_BENCH_OUT")
         .unwrap_or_else(|_| format!("{}/../../BENCH_gpu_sim.json", env!("CARGO_MANIFEST_DIR")));
     let mut f = std::fs::File::create(&out_path).expect("create bench output");
@@ -482,13 +495,11 @@ fn main() {
     }
 }
 
-fn render_json(rows: &[Row], fast: bool, shards: usize) -> String {
+fn render_json(rows: &[Row], mode: &str, shards: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n  \"schema\": \"chimera-bench-gpu-sim/v2\",\n");
     s.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"par_shards\": {},\n  \"scenarios\": [\n",
-        if fast { "fast" } else { "full" },
-        shards
+        "  \"mode\": \"{mode}\",\n  \"par_shards\": {shards},\n  \"scenarios\": [\n"
     ));
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
@@ -521,6 +532,14 @@ fn render_json(rows: &[Row], fast: bool, shards: usize) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+/// The first string value of `"key"` in a baseline JSON file written by
+/// this harness.
+fn json_str<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\": \"");
+    let rest = &text[text.find(&pat)? + pat.len()..];
+    Some(&rest[..rest.find('"')?])
 }
 
 /// Extract `"cycles_per_sec_event"` for `name` from a baseline JSON file

@@ -1,13 +1,12 @@
 //! Calendar identities of the engine's participants.
 //!
 //! The engine's event calendar is keyed by `(cycle, `[`ComponentId`]`)`:
-//! the thread-block dispatcher, each SM and each memory partition is one
-//! participant. The engine knows every concrete participant type and
-//! ticks each directly by matching on its id — the dispatcher's tick is
-//! the all-SM dispatch sweep, an SM's is [`crate::Sm::tick_bounded`], a
-//! partition's retires its due requests — so the id is all the calendar
-//! needs. The crate-private `TbDispatcher` holds the dispatcher's arming
-//! state.
+//! the thread-block dispatcher and each SM is one participant. The engine
+//! knows every concrete participant type and ticks each directly by
+//! matching on its id — the dispatcher's tick is the all-SM dispatch
+//! sweep, an SM's is [`crate::Sm::tick_bounded`] — so the id is all the
+//! calendar needs. The crate-private `TbDispatcher` holds the dispatcher's
+//! arming state.
 //!
 //! # The merge-key argument
 //!
@@ -20,15 +19,17 @@
 //!    *before* popping any SM due at the same — or any later — cycle. The
 //!    dispatcher is armed at the cycle the dirty transition happens, and
 //!    every pending calendar entry is at or after the current cycle, so
-//!    sorting [`ComponentId::Dispatcher`] before everything else at a tied
-//!    cycle is exactly the legacy "sweep before pop" order.
+//!    sorting [`ComponentId::Dispatcher`] before every SM at a tied cycle
+//!    is exactly the legacy "sweep before pop" order.
 //! 2. **SMs by index.** Unchanged from the `(cycle, sm)` calendar: within a
 //!    cycle the lowest SM index ticks first, matching the legacy linear
 //!    min-scan.
-//! 3. **Memory partitions last.** Partition ticks only retire completed
-//!    requests into partition-local statistics; they touch nothing an SM
-//!    tick reads, so their position within a cycle is unobservable — they
-//!    sort after the SMs by construction of the enum order.
+//!
+//! Memory partitions need no slot. A request's timing is fixed by the
+//! busy-until server when it is issued, and a partition's retirement
+//! statistics are computed from its completion FIFO when read (see
+//! [`crate::mem`]), so nothing happens at a partition at any cycle that a
+//! tick would have to order.
 //!
 //! The derived `Ord` on [`ComponentId`] encodes all of this: variants
 //! compare by declaration order, then by payload.
@@ -42,20 +43,17 @@
 /// ```
 /// use gpu_sim::component::ComponentId;
 ///
-/// // Dispatcher < any SM < any memory partition at a tied cycle.
+/// // Dispatcher < any SM at a tied cycle; SMs by index.
 /// assert!(ComponentId::Dispatcher < ComponentId::Sm(0));
-/// assert!(ComponentId::Sm(31) < ComponentId::MemPartition(0));
 /// assert!(ComponentId::Sm(1) < ComponentId::Sm(2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ComponentId {
     /// The thread-block dispatcher: fills free SM slots from the kernels'
-    /// block queues. Sorts before every other component at a tied cycle.
+    /// block queues. Sorts before every SM at a tied cycle.
     Dispatcher,
     /// A streaming multiprocessor, by index.
     Sm(usize),
-    /// A memory partition (L2 bank + controller), by index.
-    MemPartition(usize),
 }
 
 /// The thread-block dispatcher as a calendar component.
@@ -103,12 +101,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_key_orders_dispatcher_then_sms_then_partitions() {
+    fn merge_key_orders_dispatcher_then_sms() {
         let mut ids = vec![
-            ComponentId::MemPartition(1),
             ComponentId::Sm(2),
             ComponentId::Dispatcher,
-            ComponentId::MemPartition(0),
             ComponentId::Sm(0),
         ];
         ids.sort();
@@ -118,8 +114,6 @@ mod tests {
                 ComponentId::Dispatcher,
                 ComponentId::Sm(0),
                 ComponentId::Sm(2),
-                ComponentId::MemPartition(0),
-                ComponentId::MemPartition(1),
             ]
         );
     }
@@ -136,8 +130,8 @@ mod tests {
     fn tied_cycle_keys_sort_by_component() {
         let a = (10u64, ComponentId::Dispatcher);
         let b = (10u64, ComponentId::Sm(0));
-        let c = (10u64, ComponentId::MemPartition(0));
-        let d = (9u64, ComponentId::MemPartition(3));
+        let c = (10u64, ComponentId::Sm(1));
+        let d = (9u64, ComponentId::Sm(3));
         let mut keys = vec![c, a, b, d];
         keys.sort();
         assert_eq!(keys, vec![d, a, b, c], "cycle first, then component");

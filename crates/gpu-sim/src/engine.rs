@@ -23,10 +23,10 @@
 //!   with lazy invalidation, so each step pops the earliest pending
 //!   component directly instead of scanning all of them, and globally idle
 //!   windows are skipped in one jump. Entries order by cycle then
-//!   component id — the dispatcher first, then SMs by index, then memory
-//!   partitions; see [`crate::component`] for why that merge key exactly
-//!   reproduces the order the legacy loop produced — so the rewrite is
-//!   observably identical.
+//!   component id — the dispatcher first, then SMs by index; see
+//!   [`crate::component`] for why that merge key exactly reproduces the
+//!   order the legacy loop produced — so the rewrite is observably
+//!   identical.
 //! - [`ExecMode::Parallel`] — the calendar engine plus an intra-run
 //!   parallel phase: between *epoch barriers* the SMs are partitioned into
 //!   contiguous shards, each advanced on its own worker thread through
@@ -42,12 +42,13 @@
 //! runs it without, so that tick itself reports where a shard must stop.
 //!
 //! The calendar schedules heterogeneous participants — the thread-block
-//! dispatcher, every SM, every memory partition — by [`ComponentId`], and
-//! the engine ticks each one directly: the dispatch sweep, the SM tick,
-//! `MemSubsystem::tick_partition`. The event-ordering contract all of
-//! this rests on: every observable the engine emits is produced by a
-//! serial tick at a definite `(cycle, component)` point, and consumers
-//! receive them in that lexicographic order.
+//! dispatcher and every SM — by [`ComponentId`], and the engine ticks each
+//! one directly: the dispatch sweep, the SM tick. Memory partitions are not
+//! participants: request timing is fixed at issue, and their statistics
+//! are computed when read (see [`crate::mem`]). The event-ordering
+//! contract all of this rests on: every observable the engine emits is
+//! produced by a serial tick at a definite `(cycle, component)` point, and
+//! consumers receive them in that lexicographic order.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -372,7 +373,7 @@ pub struct Engine {
     /// and stale heap entries (whose time no longer matches) are discarded
     /// on peek. `Reverse` lexicographic order pops the earliest cycle and,
     /// within a cycle, the smallest [`ComponentId`] — dispatcher, then SMs
-    /// by index, then partitions — the same order the old linear min-scan
+    /// by index — the same order the old linear min-scan
     /// loop produced, so event streams are byte-identical (see
     /// [`crate::component`] for the merge-key argument).
     calendar: BinaryHeap<Reverse<(u64, ComponentId)>>,
@@ -436,7 +437,7 @@ impl Engine {
             mem: MemSubsystem::new(&cfg),
             sms,
             // Fresh SMs are armed for cycle 0 (so the engine discovers their
-            // idle state), as is the dispatcher; partitions start idle.
+            // idle state), as is the dispatcher.
             calendar: std::iter::once(Reverse((0, ComponentId::Dispatcher)))
                 .chain((0..n).map(|i| Reverse((0, ComponentId::Sm(i)))))
                 .collect(),
@@ -802,13 +803,6 @@ impl Engine {
                         .push(Reverse((sm.next_tick(), ComponentId::Sm(i))));
                 }
             }
-            for p in 0..self.mem.num_partitions() {
-                let t = self.mem.partition_next_tick(p);
-                if t != u64::MAX {
-                    self.calendar
-                        .push(Reverse((t, ComponentId::MemPartition(p))));
-                }
-            }
         }
     }
 
@@ -822,7 +816,6 @@ impl Engine {
         match cid {
             ComponentId::Dispatcher => self.dispatcher.next_tick(),
             ComponentId::Sm(i) => self.sms[i].next_tick(),
-            ComponentId::MemPartition(p) => self.mem.partition_next_tick(p),
         }
     }
 
@@ -846,7 +839,6 @@ impl Engine {
         match cid {
             ComponentId::Dispatcher => self.dispatcher.set_next_tick(t),
             ComponentId::Sm(i) => self.sms[i].set_next_tick(t),
-            ComponentId::MemPartition(p) => self.mem.set_partition_next_tick(p, t),
         }
         if t != u64::MAX && self.mode != ExecMode::Scan {
             self.calendar.push(Reverse((t, cid)));
@@ -868,43 +860,18 @@ impl Engine {
         self.wake_component(ComponentId::Dispatcher, t);
     }
 
-    /// Move the memory partitions that gained their first pending request
-    /// since the last sync onto the calendar. Must run after anything that
-    /// issues memory traffic (SM interaction ticks, context-switch bulk
-    /// transfers) so partition components wake at their earliest completion.
-    fn sync_mem_wakes(&mut self) {
-        for (p, t) in self.mem.take_newly_pending() {
-            self.wake_component(ComponentId::MemPartition(p), t);
-        }
-    }
-
     /// The next `(cycle, component)` to process, without consuming it.
     /// Calendar mode discards stale entries; scan mode reproduces the legacy
-    /// linear min-scan (which reports idle SMs as `u64::MAX` entries, and
-    /// visits SMs before partitions so ties keep the merge-key order — the
+    /// linear min-scan (which reports idle SMs as `u64::MAX` entries; the
     /// dispatcher never appears because scan sweeps dispatch every step).
     fn next_event(&mut self) -> Option<(u64, ComponentId)> {
         if self.mode == ExecMode::Scan {
-            let sm_min = self
+            return self
                 .sms
                 .iter()
                 .enumerate()
                 .min_by_key(|&(_, sm)| sm.next_tick())
                 .map(|(i, sm)| (sm.next_tick(), ComponentId::Sm(i)));
-            let part_min = (0..self.mem.num_partitions())
-                .map(|p| {
-                    (
-                        self.mem.partition_next_tick(p),
-                        ComponentId::MemPartition(p),
-                    )
-                })
-                .min_by_key(|&(t, _)| t);
-            return match (sm_min, part_min) {
-                // Strict `<`: at a tied cycle the SM ticks first.
-                (Some(s), Some(p)) if p.0 < s.0 => Some(p),
-                (Some(s), _) => Some(s),
-                (None, p) => p,
-            };
         }
         while let Some(&Reverse((t, cid))) = self.calendar.peek() {
             if self.component_next(cid) == t {
@@ -1011,14 +978,16 @@ impl Engine {
         }
     }
 
-    /// Per-memory-partition counters (bytes served, requests retired by the
-    /// partition components, requests in flight), in partition order.
+    /// Per-memory-partition counters as of the current cycle, in partition
+    /// order: bytes served, requests retired (completion cycle `<=`
+    /// [`Engine::cycle`]) and requests still in flight.
     ///
-    /// Byte-identical across execution modes like every other observable:
-    /// partition components retire requests at their exact completion
-    /// cycles in all three modes.
+    /// Computed when read from each partition's completion FIFO (see
+    /// [`crate::mem`]), so they are byte-identical across execution modes
+    /// like every other observable: every mode issues the same requests and
+    /// stops at the same cycle.
     pub fn mem_partition_stats(&self) -> Vec<crate::mem::MemPartitionStats> {
-        self.mem.partition_stats()
+        self.mem.partition_stats(self.cycle)
     }
 
     /// The kernel's functional memory image: `(cells, atomic counters)`.
@@ -1132,7 +1101,6 @@ impl Engine {
         }
         let done = out.preempt_done.is_some();
         self.process_output(sm, out);
-        self.sync_mem_wakes();
         self.wake(sm, self.cycle.max(1));
         self.mark_dispatch_dirty();
         Ok(done)
@@ -1194,25 +1162,14 @@ impl Engine {
                 self.calendar.pop();
             }
             self.cycle = self.cycle.max(t);
-            let idx = match cid {
-                ComponentId::Dispatcher => {
-                    // The sweep spans every SM and kernel queue, so the
-                    // engine runs it directly; ticking the component only
-                    // consumes the arming. It never advances the clock: the
-                    // dispatcher is armed at (or before) the current cycle.
-                    self.dispatcher.disarm();
-                    self.dispatch_all();
-                    continue;
-                }
-                ComponentId::MemPartition(p) => {
-                    // Retire completed requests into partition statistics;
-                    // request timing was decided at issue, so nothing an SM
-                    // observes changes here.
-                    let next = self.mem.tick_partition(p, self.cycle);
-                    self.wake_component(ComponentId::MemPartition(p), next);
-                    continue;
-                }
-                ComponentId::Sm(idx) => idx,
+            let ComponentId::Sm(idx) = cid else {
+                // The dispatcher. The sweep spans every SM and kernel queue,
+                // so the engine runs it directly; ticking the component only
+                // consumes the arming. It never advances the clock: the
+                // dispatcher is armed at (or before) the current cycle.
+                self.dispatcher.disarm();
+                self.dispatch_all();
+                continue;
             };
             let resident = self.sms[idx].resident_kernel();
             // Batched issue must stop where the serial schedule could be
@@ -1282,7 +1239,6 @@ impl Engine {
                 }
             }
             self.process_output(idx, out);
-            self.sync_mem_wakes();
             if self.break_on_kernel_finish && self.kernel_finish_pending {
                 self.kernel_finish_pending = false;
                 return true;
@@ -1673,8 +1629,6 @@ impl Engine {
                 self.wake(i, self.sms[i].next_tick().min(self.cycle));
             }
         }
-        // Resumed-context loads may have issued bulk memory traffic.
-        self.sync_mem_wakes();
     }
 
     fn pop_next_block(&mut self, kid: KernelId, sm: usize) -> Option<BlockRun> {

@@ -8,15 +8,21 @@
 //! behaviour the Chimera evaluation is sensitive to (bandwidth shares set
 //! context-switch times; latency sets the CPI of memory-heavy kernels).
 //!
-//! Each partition is also a participant of the engine's event calendar
-//! ([`crate::component::ComponentId::MemPartition`]): a request enqueues
-//! its completion cycle on the partition, the engine wakes the partition at
-//! its earliest pending completion, and `MemSubsystem::tick_partition`
-//! retires everything due into partition-local statistics
-//! ([`MemPartitionStats`]). Retirement is pure bookkeeping — request timing
-//! is still decided at issue by the busy-until server — so the partition
-//! scheduling is unobservable in events, kernel statistics and traces, and
-//! all execution modes stay byte-identical.
+//! # Retirement is computed, not ticked
+//!
+//! Request timing is decided entirely at issue by the busy-until server, so
+//! a partition needs no clock of its own and is not a participant of the
+//! engine's event calendar. It keeps the completion cycles of its requests
+//! in a FIFO — non-decreasing, because the server is FIFO busy-until — and
+//! the statistics are derived when read:
+//! [`crate::Engine::mem_partition_stats`] counts a request as *retired*
+//! once its completion cycle is at or before the engine's current cycle,
+//! and as *in flight* otherwise. A new request first prunes the
+//! entries already due at its issue cycle into a retired count, which keeps
+//! the FIFO as short as the requests actually outstanding. Nothing an SM
+//! observes depends on retirement, so events, kernel statistics and traces
+//! are unaffected, and every execution mode reads the same statistics at
+//! the same cycle.
 //!
 //! SMs reach the subsystem only through a committing tick
 //! ([`crate::Sm::tick_bounded`] with `Some(mem)`); the parallel engine's
@@ -31,27 +37,25 @@ use std::collections::VecDeque;
 struct Partition {
     free_at: u64,
     bytes_served: u64,
-    /// Completion cycles of in-flight requests. The server is FIFO
-    /// busy-until, so completions are non-decreasing and the front is
+    /// Completion cycles of the requests not yet pruned. The server is
+    /// FIFO busy-until, so completions are non-decreasing and the front is
     /// always the earliest.
     pending: VecDeque<u64>,
-    /// Requests whose completion cycle has been reached and retired by
-    /// [`MemSubsystem::tick_partition`].
-    retired: u64,
-    /// Authoritative next-tick time mirrored by the engine's calendar
-    /// (`u64::MAX` = idle).
-    next_tick: u64,
+    /// Requests pruned from `pending`: due at the issue cycle of a later
+    /// request on this partition.
+    pruned: u64,
 }
 
 /// Observable per-partition counters (served bytes, retired and in-flight
-/// requests) — the imbalance inputs for the multi-device reports.
+/// requests) at a read cycle — the imbalance inputs for the multi-device
+/// reports. See the [module docs](self) for the retirement rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemPartitionStats {
     /// Bytes this partition has served (charged at issue).
     pub bytes_served: u64,
-    /// Requests whose completion cycle has passed and been retired.
+    /// Requests whose completion cycle is at or before the read cycle.
     pub requests_retired: u64,
-    /// Requests issued but not yet retired by the partition tick.
+    /// Requests issued but completing after the read cycle.
     pub inflight: usize,
 }
 
@@ -73,9 +77,6 @@ pub struct MemSubsystem {
     bytes_per_cycle: f64,
     latency: u64,
     rr_next: usize,
-    /// Partitions that went idle→pending since the engine last synced its
-    /// calendar (insertion order; accesses are serial, so deterministic).
-    newly_pending: Vec<usize>,
     /// Shard-race sanitizer recording state, shared with the engine; `None`
     /// (the default) records nothing (see [`crate::race`]).
     race: Option<std::sync::Arc<crate::race::RaceState>>,
@@ -86,21 +87,17 @@ impl MemSubsystem {
     pub fn new(cfg: &GpuConfig) -> Self {
         MemSubsystem {
             partitions: (0..cfg.num_mem_partitions.max(1))
-                .map(|_| Partition {
-                    next_tick: u64::MAX,
-                    ..Partition::default()
-                })
+                .map(|_| Partition::default())
                 .collect(),
             bytes_per_cycle: cfg.bytes_per_cycle_per_partition(),
             latency: cfg.mem_latency_cycles,
             rr_next: 0,
-            newly_pending: Vec::new(),
             race: None,
         }
     }
 
     /// Wire (or clear) the shard-race sanitizer's recording state: every
-    /// partition access and partition tick reports itself while set.
+    /// partition access reports itself while set.
     pub(crate) fn set_race_state(&mut self, race: Option<std::sync::Arc<crate::race::RaceState>>) {
         self.race = race;
     }
@@ -154,10 +151,9 @@ impl MemSubsystem {
         p.free_at = start + service.max(1);
         p.bytes_served += bytes;
         let done = p.free_at + self.latency;
-        if p.pending.is_empty() {
-            // Idle→pending transition: the engine must (re)wake this
-            // partition's component at the new earliest completion.
-            self.newly_pending.push(idx);
+        while p.pending.front().is_some_and(|&d| d <= now) {
+            p.pending.pop_front();
+            p.pruned += 1;
         }
         debug_assert!(
             p.pending.back().is_none_or(|&b| b <= done),
@@ -167,63 +163,25 @@ impl MemSubsystem {
         done
     }
 
-    /// Drain the partitions whose component wake time changed since the
-    /// last call, as `(partition, earliest pending completion)` pairs.
-    /// Engine calendar-sync path only.
-    pub(crate) fn take_newly_pending(&mut self) -> Vec<(usize, u64)> {
-        if self.newly_pending.is_empty() {
-            return Vec::new();
-        }
-        self.newly_pending
-            .drain(..)
-            .map(|idx| {
-                let t = self.partitions[idx]
-                    .pending
-                    .front()
-                    .copied()
-                    .unwrap_or(u64::MAX);
-                (idx, t)
-            })
-            .collect()
-    }
-
-    /// The authoritative next-tick of partition `idx` (`u64::MAX` = idle).
-    pub(crate) fn partition_next_tick(&self, idx: usize) -> u64 {
-        self.partitions[idx].next_tick
-    }
-
-    /// Write partition `idx`'s component next-tick (engine wake path only).
-    pub(crate) fn set_partition_next_tick(&mut self, idx: usize, t: u64) {
-        self.partitions[idx].next_tick = t;
-    }
-
-    /// Tick partition `idx` at `now`: retire every pending completion due,
-    /// returning the new next-tick time.
-    pub(crate) fn tick_partition(&mut self, idx: usize, now: u64) -> u64 {
-        if let Some(race) = &self.race {
-            race.note_shared_access(crate::race::SharedResource::MemPartition(idx), None, now);
-        }
-        let p = &mut self.partitions[idx];
-        while p.pending.front().is_some_and(|&done| done <= now) {
-            p.pending.pop_front();
-            p.retired += 1;
-        }
-        p.pending.front().copied().unwrap_or(u64::MAX)
-    }
-
     /// Number of memory partitions.
     pub fn num_partitions(&self) -> usize {
         self.partitions.len()
     }
 
-    /// Per-partition counters, in partition order.
-    pub fn partition_stats(&self) -> Vec<MemPartitionStats> {
+    /// Per-partition counters as of cycle `now`, in partition order: a
+    /// request is retired once its completion cycle is `<= now`. `now`
+    /// must not precede the issue cycle of the latest request, which the
+    /// engine's monotonic clock guarantees.
+    pub(crate) fn partition_stats(&self, now: u64) -> Vec<MemPartitionStats> {
         self.partitions
             .iter()
-            .map(|p| MemPartitionStats {
-                bytes_served: p.bytes_served,
-                requests_retired: p.retired,
-                inflight: p.pending.len(),
+            .map(|p| {
+                let due = p.pending.partition_point(|&d| d <= now);
+                MemPartitionStats {
+                    bytes_served: p.bytes_served,
+                    requests_retired: p.pruned + due as u64,
+                    inflight: p.pending.len() - due,
+                }
             })
             .collect()
     }
@@ -242,6 +200,7 @@ impl MemSubsystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mem() -> MemSubsystem {
         MemSubsystem::new(&GpuConfig::fermi())
@@ -334,52 +293,110 @@ mod tests {
     }
 
     #[test]
-    fn accesses_mark_partitions_newly_pending_once() {
-        let mut m = mem();
-        let done1 = m.access(0, 0, 128);
-        m.access(0, 0, 128); // same partition, still pending: no new wake
-        let wakes = m.take_newly_pending();
-        assert_eq!(wakes, vec![(0, done1)], "one wake at earliest completion");
-        assert!(m.take_newly_pending().is_empty(), "drained");
-    }
-
-    #[test]
-    fn partition_tick_retires_due_completions() {
+    fn requests_due_at_the_read_cycle_count_as_retired() {
         let mut m = mem();
         let d1 = m.access(0, 0, 128);
         let d2 = m.access(0, 0, 128);
         assert!(d2 > d1);
-        // Nothing due before d1.
-        let next = m.tick_partition(0, d1 - 1);
-        assert_eq!(next, d1);
-        assert_eq!(m.partition_stats()[0].requests_retired, 0);
-        // First completes at d1; second still pending.
-        let next = m.tick_partition(0, d1);
-        assert_eq!(next, d2);
-        let st = m.partition_stats();
-        assert_eq!(st[0].requests_retired, 1);
-        assert_eq!(st[0].inflight, 1);
-        // Both retired once d2 passes; partition goes idle.
-        let next = m.tick_partition(0, d2 + 5);
-        assert_eq!(next, u64::MAX);
-        assert_eq!(m.partition_stats()[0].requests_retired, 2);
-        assert_eq!(m.partition_stats()[0].inflight, 0);
+        let at = |t| {
+            let s = m.partition_stats(t)[0];
+            (s.requests_retired, s.inflight)
+        };
+        assert_eq!(
+            at(d1 - 1),
+            (0, 2),
+            "nothing due before the first completion"
+        );
+        assert_eq!(at(d1), (1, 1), "a completion at the read cycle is retired");
+        assert_eq!(at(d2 + 5), (2, 0));
+        let idle = m.partition_stats(d2)[1];
+        assert_eq!(
+            idle,
+            MemPartitionStats {
+                bytes_served: 0,
+                requests_retired: 0,
+                inflight: 0
+            },
+            "other partitions untouched"
+        );
     }
 
     #[test]
-    fn partition_next_tick_round_trips() {
+    fn a_new_request_prunes_due_completions_without_moving_the_stats() {
         let mut m = mem();
+        let d1 = m.access(0, 0, 128);
+        let d2 = m.access(0, 0, 128);
+        let before = m.partition_stats(d1)[0];
+        // Issued at d1, when the first request is due.
+        let d3 = m.access(d1, 0, 128);
         assert_eq!(
-            m.partition_next_tick(3),
-            u64::MAX,
-            "idle partitions need no entry"
+            m.partitions[0].pending,
+            [d2, d3],
+            "only outstanding requests stay queued"
         );
-        m.set_partition_next_tick(3, 42);
-        assert_eq!(m.partition_next_tick(3), 42);
-        assert_eq!(
-            m.partition_next_tick(2),
-            u64::MAX,
-            "other partitions untouched"
-        );
+        assert_eq!(m.partitions[0].pruned, 1);
+        let after = m.partition_stats(d1)[0];
+        assert_eq!(after.requests_retired, before.requests_retired);
+        assert_eq!(after.inflight, before.inflight + 1);
+    }
+
+    /// One step of the lazy-retirement property: an access to `partition`
+    /// issued `dt` cycles after the previous one, or a statistics read
+    /// `ahead` cycles past the latest issue.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Access {
+            partition: usize,
+            bytes: u32,
+            dt: u64,
+        },
+        Read {
+            ahead: u64,
+        },
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..8, 1u32..4096, 0u64..400).prop_map(|(partition, bytes, dt)| Op::Access {
+                partition,
+                bytes,
+                dt
+            }),
+            (0u64..3000).prop_map(|ahead| Op::Read { ahead }),
+        ]
+    }
+
+    proptest! {
+        /// At every read cycle, each partition's statistics equal a naive
+        /// model over every request ever issued: retired = completions at
+        /// or before the read cycle, in flight = the rest, and bytes are
+        /// conserved.
+        #[test]
+        fn partition_stats_match_a_naive_model(ops in proptest::collection::vec(arb_op(), 1..80)) {
+            let mut m = mem();
+            let n = m.num_partitions();
+            let mut now = 0u64;
+            // Every request issued so far: (partition, completion, bytes).
+            let mut issued: Vec<(usize, u64, u64)> = Vec::new();
+            for op in ops {
+                let read_at = match op {
+                    Op::Access { partition, bytes, dt } => {
+                        now += dt;
+                        let p = partition % n;
+                        let done = m.access(now, (p as u64) << 7, bytes);
+                        issued.push((p, done, u64::from(bytes)));
+                        now
+                    }
+                    Op::Read { ahead } => now + ahead,
+                };
+                for (p, s) in m.partition_stats(read_at).iter().enumerate() {
+                    let mine: Vec<_> = issued.iter().filter(|r| r.0 == p).collect();
+                    let retired = mine.iter().filter(|r| r.1 <= read_at).count();
+                    prop_assert_eq!(s.requests_retired, retired as u64);
+                    prop_assert_eq!(s.inflight, mine.len() - retired);
+                    prop_assert_eq!(s.bytes_served, mine.iter().map(|r| r.2).sum::<u64>());
+                }
+            }
+        }
     }
 }

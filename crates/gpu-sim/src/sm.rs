@@ -694,12 +694,15 @@ impl Sm {
     ///   instruction is left), so no effects, block completions, phase
     ///   changes or idempotence transitions can occur — every batched tick
     ///   is pure, so a batch commits in Phase A too;
-    /// - under round-robin the window also ends strictly before the earliest
-    ///   future warp wake-up, and covers either whole rotations over the
-    ///   runnable slots (when all of them are steady) or a single partial
-    ///   rotation over the leading run of steady slots in rotation order
-    ///   (each ticking once, stopping before the first non-steady slot gets
-    ///   a turn);
+    /// - under round-robin the window covers either whole rotations over
+    ///   the runnable slots (when all of them are steady with more than one
+    ///   chunk left) or a single partial rotation over the leading run of
+    ///   such slots in rotation order (each ticking once, stopping before
+    ///   the first runnable slot outside the run — the *breaker* — gets a
+    ///   turn), and ends strictly before the earliest wake-up of a slot it
+    ///   can reach: any slot for whole rotations, only the slots ahead of
+    ///   the breaker for a partial one, since slots past the breaker never
+    ///   get a turn inside that window;
     /// - under greedy-then-oldest the chosen warp never stalls mid-window,
     ///   so it stays selected and the scheduler cursor is untouched.
     // Out of line on purpose: memory-bound ticks return at the first
@@ -753,22 +756,19 @@ impl Sm {
             }
             return self.commit_batch(now, ticks * chunk, out);
         }
-        // Loose round-robin. Classify every slot, walking the rotation order
-        // from the chosen slot — the runnable slots in that order are
-        // exactly the warps the next serial ticks will pick.
-        let mut n_ready = 0u64;
+        // Loose round-robin. Walk the rotation order from the chosen slot —
+        // the runnable slots in that order are exactly the warps the next
+        // serial ticks will pick — up to the breaker: the first runnable
+        // slot that is not steady or has at most one chunk left.
+        // `prefix_len` counts the runnable slots before it; each of their
+        // ticks issues a plain full chunk with no segment completion.
+        let mut prefix_len = 0u64;
         let mut min_rem = chosen_rem;
         let mut wake_min = u64::MAX;
-        let mut all_steady = true;
-        // Length of the rotation prefix of runnable slots that are steady
-        // with more than one chunk left: each of their ticks issues a plain
-        // full chunk with no segment completion.
-        let mut prefix_open = true;
-        let mut prefix_len = 0u64;
-        // The last runnable slot in rotation order — the one cyclically
-        // preceding the chosen slot — which ends a whole-rotation batch.
+        // The last runnable slot walked. Without a breaker it cyclically
+        // precedes the chosen slot and ends a whole-rotation batch.
         let mut last_ready = bi * wpb + wi;
-        walk_slots(bi * wpb + wi, nb, wpb, |b, w| {
+        let breaker = walk_slots(bi * wpb + wi, nb, wpb, |b, w| {
             let blk = &self.blocks[b];
             // AtBarrier / Done slots are inert for the whole window.
             let Some(t) = blk.warp_ready_at(w) else {
@@ -778,39 +778,30 @@ impl Sm {
                 wake_min = wake_min.min(t);
                 return false;
             }
-            n_ready += 1;
-            last_ready = b * wpb + w;
             match blk.warps()[w].steady_compute_rem(segments, blk.scaled_segs()) {
-                Some(rem) => {
-                    let rem = u64::from(rem);
-                    min_rem = min_rem.min(rem);
-                    if rem > chunk && prefix_open {
-                        prefix_len += 1;
-                    } else {
-                        prefix_open = false;
-                    }
+                Some(rem) if u64::from(rem) > chunk => {
+                    prefix_len += 1;
+                    min_rem = min_rem.min(u64::from(rem));
+                    last_ready = b * wpb + w;
+                    false
                 }
-                None => {
-                    all_steady = false;
-                    prefix_open = false;
-                }
+                _ => true,
             }
-            false
         });
         let mut max_ticks = horizon_ticks;
         if wake_min != u64::MAX {
             // The last batched tick must run strictly before the wake-up.
             max_ticks = max_ticks.min((wake_min - 1 - now) / tick_cycles + 1);
         }
-        if all_steady {
-            // Whole rotations over the runnable slots.
+        if breaker.is_none() {
+            // Whole rotations over the runnable slots, all in the prefix.
             let rot = ((min_rem - 1) / chunk)
-                .min(max_ticks / n_ready)
-                .min(limits.max_insts / (n_ready * chunk))
-                .min(INSTS_CAP / (n_ready * chunk));
-            let ticks = rot * n_ready;
+                .min(max_ticks / prefix_len)
+                .min(limits.max_insts / (prefix_len * chunk))
+                .min(INSTS_CAP / (prefix_len * chunk));
+            let ticks = rot * prefix_len;
             if ticks >= 2 {
-                // simlint: allow(as-narrowing) -- rot * chunk is capped at INSTS_CAP / n_ready above
+                // simlint: allow(as-narrowing) -- rot * chunk is capped at INSTS_CAP / prefix_len above
                 let per_warp = (rot * chunk) as u32;
                 for blk in &mut self.blocks {
                     for w in 0..wpb {
@@ -830,7 +821,8 @@ impl Sm {
         // prefix. Serial tick `j` picks the `j`-th runnable slot in rotation
         // order (intermediate non-runnable slots stay asleep — the window
         // ends before `wake_min` — and prefix ticks complete nothing, so no
-        // barrier or block state changes either).
+        // barrier or block state changes either). With a breaker, a whole
+        // rotation was impossible: its `min_rem` would leave no full chunk.
         let ticks = prefix_len
             .min(max_ticks)
             .min(limits.max_insts / chunk)
@@ -1569,5 +1561,124 @@ mod sched_tests {
         // Compute-only warps never stall, so GTO stays glued to warp 0 while
         // RR spreads issue evenly.
         assert!(spread(WarpSched::GreedyThenOldest) > spread(WarpSched::LooseRoundRobin) * 4);
+    }
+
+    /// Fold one tick's output into a running total.
+    fn absorb(total: &mut SmOutput, out: SmOutput) {
+        total.completed.extend(out.completed);
+        total.effects.extend(out.effects);
+        total.switched_out.extend(out.switched_out);
+        total.preempt_done = total.preempt_done.or(out.preempt_done);
+        total.issued_insts += out.issued_insts;
+    }
+
+    /// One block of six warps at cycle 0, in slot order: a steady prefix of
+    /// four compute warps, a runnable breaker whose next issue is a load,
+    /// and a compute warp past the breaker that is stalled on memory until
+    /// `sleeper_wake`.
+    fn prefix_breaker_sleeper(cfg: &GpuConfig, d: &KernelDesc, sleeper_wake: u64) -> Sm {
+        let mut sm = Sm::new(0, cfg);
+        let id = BlockId {
+            kernel: KernelId(0),
+            index: 0,
+        };
+        let mut block = BlockRun::new(id, d, 1, 0);
+        let warps = block.warps_mut();
+        assert_eq!(warps.len(), 6);
+        warps[4].seg_idx = 1;
+        warps[5].seg_idx = 2;
+        warps[5].phase = WarpPhase::WaitMem(sleeper_wake);
+        sm.dispatch(block);
+        sm
+    }
+
+    /// Tick `sm` with an open batching window and a `TickLimits::none`
+    /// twin tick by tick, and require identical SMs and outputs after every
+    /// batched tick. Returns the batched run's per-tick issue counts.
+    fn batched_matches_serial_twin(cfg: &GpuConfig, d: &KernelDesc, sleeper_wake: u64) -> Vec<u32> {
+        let mut sm = prefix_breaker_sleeper(cfg, d, sleeper_wake);
+        let mut twin = prefix_breaker_sleeper(cfg, d, sleeper_wake);
+        let (mut mem, mut twin_mem) = (MemSubsystem::new(cfg), MemSubsystem::new(cfg));
+        let limits = TickLimits {
+            horizon: 1_000_000,
+            max_insts: u64::MAX,
+            may_gain_blocks: false,
+        };
+        let (mut now, mut twin_now) = (0u64, 0u64);
+        let mut issued = Vec::new();
+        for _ in 0..200 {
+            let mut out = SmOutput::default();
+            let next = sm
+                .tick_bounded(now, Some(d), Some(&mut mem), 1, &mut out, &limits)
+                .expect("a tick with the memory subsystem always commits");
+            let mut twin_out = SmOutput::default();
+            while twin_now < next {
+                let mut o = SmOutput::default();
+                let t = twin.tick(twin_now, Some(d), &mut twin_mem, 1, &mut o);
+                absorb(&mut twin_out, o);
+                if t == u64::MAX {
+                    break;
+                }
+                twin_now = t.max(twin_now + 1);
+            }
+            assert_eq!(
+                format!("{sm:?}"),
+                format!("{twin:?}"),
+                "SM after the tick at {now}"
+            );
+            assert_eq!(
+                format!("{out:?}"),
+                format!("{twin_out:?}"),
+                "output of the tick at {now}"
+            );
+            issued.push(out.issued_insts);
+            if next == u64::MAX || next > limits.horizon {
+                break;
+            }
+            now = next.max(now + 1);
+        }
+        issued
+    }
+
+    #[test]
+    fn round_robin_batch_stops_at_the_breaker_not_at_later_sleepers() {
+        let d = KernelDesc::builder("k")
+            .grid_blocks(1)
+            .threads_per_block(192)
+            .regs_per_thread(16)
+            .program(Program::new(vec![
+                Segment::compute(5_000),
+                Segment::load(20),
+                Segment::compute(5_000),
+            ]))
+            .build()
+            .unwrap();
+        let cfg = GpuConfig {
+            warp_sched: WarpSched::LooseRoundRobin,
+            ..GpuConfig::tiny()
+        };
+        let chunk = cfg.issue_chunk;
+        let tick_cycles = cfg.issue_interval() * u64::from(chunk);
+        // The sleeper wakes after the third prefix tick: the old walk, which
+        // classified every slot, cut the batch there.
+        let wake = 2 * tick_cycles + 1;
+        let issued = batched_matches_serial_twin(&cfg, &d, wake);
+        assert_eq!(issued[0], 4 * chunk, "one batch covers the whole prefix");
+        assert!(
+            issued.iter().any(|&n| n > 4 * chunk),
+            "whole-rotation batches follow"
+        );
+
+        // Greedy-then-oldest never walks the rotation: the breaker and the
+        // sleeper do not limit its batch, and it matches the twin too.
+        let gto = GpuConfig {
+            warp_sched: WarpSched::GreedyThenOldest,
+            ..cfg
+        };
+        let issued = batched_matches_serial_twin(&gto, &d, wake);
+        assert!(
+            issued[0] > 4 * chunk,
+            "greedy batches the chosen warp alone"
+        );
     }
 }
