@@ -16,7 +16,8 @@
 //! perf trajectory and a coarse equivalence check.
 //!
 //! Environment knobs:
-//! - `CHIMERA_BENCH_FAST=1` — CI smoke mode: shorter horizons, 2 samples.
+//! - `CHIMERA_BENCH_FAST=1` — CI smoke mode: shorter horizons, 2 timing
+//!   rounds instead of 5.
 //! - `CHIMERA_BENCH_ONLY=substr` — run only scenarios whose name contains
 //!   `substr` (local iteration; the emitted JSON is then partial).
 //! - `CHIMERA_BENCH_OUT=path` — where to write the JSON (defaults to
@@ -395,19 +396,30 @@ fn bench_shards() -> usize {
         .clamp(1, 8)
 }
 
-/// Wall time of the fastest of `samples` timed runs of `f`, after one
-/// untimed warm-up run. The minimum, not the mean: background load only
+/// Wall time of the fastest of `samples` timed runs of `f` under each of
+/// `modes`, after one untimed warm-up run per mode. The runs interleave:
+/// each round times every mode once, starting one mode later than the
+/// round before, so a noisy spell on the host lands on all modes instead
+/// of on one whole row. The minimum, not the mean: background load only
 /// ever slows a run, so the fastest one tracks the engine, not the machine.
-fn fastest_ns<O>(samples: usize, mut f: impl FnMut() -> O) -> u128 {
-    std::hint::black_box(f());
-    (0..samples)
-        .map(|_| {
+fn fastest_ns<O, const N: usize>(
+    samples: usize,
+    modes: [ExecMode; N],
+    f: impl Fn(ExecMode) -> O,
+) -> [u128; N] {
+    for mode in modes {
+        std::hint::black_box(f(mode));
+    }
+    let mut best = [u128::MAX; N];
+    for round in 0..samples {
+        for k in 0..N {
+            let i = (round + k) % N;
             let start = std::time::Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos()
-        })
-        .min()
-        .unwrap_or(0)
+            std::hint::black_box(f(modes[i]));
+            best[i] = best[i].min(start.elapsed().as_nanos());
+        }
+    }
+    best
 }
 
 fn main() {
@@ -463,19 +475,16 @@ fn main() {
                 s.name
             );
         }
-        let timed = [
-            ("event", ExecMode::Event),
-            ("scan", ExecMode::Scan),
-            ("par", par),
-        ];
-        let [event_ns, scan_ns, par_ns] = timed.map(|(label, mode)| {
-            let ns = fastest_ns(samples, || (s.run)(mode, horizon));
+        let timed = fastest_ns(samples, [ExecMode::Event, ExecMode::Scan, par], |mode| {
+            (s.run)(mode, horizon)
+        });
+        for (label, ns) in ["event", "scan", "par"].into_iter().zip(timed) {
             println!(
                 "{:<24} {label:<5} {ns:>14} ns (fastest of {samples})",
                 s.name
             );
-            ns
-        });
+        }
+        let [event_ns, scan_ns, par_ns] = timed;
         rows.push(Row {
             name: s.name,
             cycles: event_out.cycle.max(horizon),

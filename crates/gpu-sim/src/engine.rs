@@ -14,19 +14,16 @@
 //! argument:
 //!
 //! - [`ExecMode::Scan`] — the legacy linear min-scan reference scheduler:
-//!   every step scans all components for the minimum next-tick time and no
-//!   batched issue runs. Slow and obviously correct; kept as the
-//!   differential baseline.
-//! - [`ExecMode::Event`] (the default) — per-component next-tick times
-//!   live both in the authoritative components themselves and in a
-//!   binary-heap *event calendar* of `(cycle, `[`ComponentId`]`)` entries
-//!   with lazy invalidation, so each step pops the earliest pending
-//!   component directly instead of scanning all of them, and globally idle
-//!   windows are skipped in one jump. Entries order by cycle then
-//!   component id — the dispatcher first, then SMs by index; see
-//!   [`crate::component`] for why that merge key exactly reproduces the
-//!   order the legacy loop produced — so the rewrite is observably
-//!   identical.
+//!   every step sweeps dispatch, scans all SMs for the minimum next-tick
+//!   time and runs no batched issue. Slow and obviously correct; kept as
+//!   the differential baseline.
+//! - [`ExecMode::Event`] (the default) — per-SM next-tick times live both
+//!   in the authoritative SMs themselves and in a binary-heap *event
+//!   calendar* of `(cycle, SM index)` entries with lazy invalidation, so
+//!   each step pops the earliest pending SM directly instead of scanning
+//!   all of them, and globally idle windows are skipped in one jump.
+//!   Entries order by cycle, then SM index — the order the legacy min-scan
+//!   produced — so the rewrite is observably identical.
 //! - [`ExecMode::Parallel`] — the calendar engine plus an intra-run
 //!   parallel phase: between *epoch barriers* the SMs are partitioned into
 //!   contiguous shards, each advanced on its own worker thread through
@@ -34,27 +31,28 @@
 //!   L1 hits). Any tick that would touch shared state — the memory
 //!   subsystem's DRAM queues, functional memory effects, block completion
 //!   and dispatch, preemption — stops the shard, and those *interaction*
-//!   ticks are replayed serially in `(cycle, component)` calendar order,
+//!   ticks are replayed serially in `(cycle, SM index)` calendar order,
 //!   which is precisely the deterministic merge of the per-shard streams.
 //!
 //! Every mode runs the same SM tick, [`Sm::tick_bounded`]: the serial loop
 //! passes it the memory subsystem, and the pure phase (`Sm::advance_pure`)
 //! runs it without, so that tick itself reports where a shard must stop.
 //!
-//! The calendar schedules heterogeneous participants — the thread-block
-//! dispatcher and every SM — by [`ComponentId`], and the engine ticks each
-//! one directly: the dispatch sweep, the SM tick. Memory partitions are not
-//! participants: request timing is fixed at issue, and their statistics
+//! The thread-block dispatcher is not on the calendar. Anything that can
+//! change dispatchability (launch, assign, preemption, a block completing
+//! or switching out) sets a dirty flag, and every loop iteration runs the
+//! all-SM dispatch sweep first if the flag is set — before the next pop,
+//! exactly where the legacy loop ran it. Memory partitions are not on the
+//! calendar either: request timing is fixed at issue, and their statistics
 //! are computed when read (see [`crate::mem`]). The event-ordering
 //! contract all of this rests on: every observable the engine emits is
-//! produced by a serial tick at a definite `(cycle, component)` point, and
-//! consumers receive them in that lexicographic order.
+//! produced by a serial tick at a definite `(cycle, SM index)` point (or by
+//! the sweep that precedes it), and consumers receive them in that order.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::block::{BlockId, BlockRun, TbSnapshot};
-use crate::component::{ComponentId, TbDispatcher};
 use crate::events::{BlockDecision, BlockExit, EventLog, ObsEvent, ShedReason};
 use crate::kernel::{KernelDesc, Segment};
 use crate::mem::MemSubsystem;
@@ -300,6 +298,13 @@ impl KernelInstance {
             || self.next_fresh < self.desc.grid_blocks()
     }
 
+    /// Whether an instruction cap is set and has not fired yet. While it is,
+    /// other SMs' cap checks read this kernel's issue counter tick by tick,
+    /// so neither batched issue nor the pure phase may run its SMs ahead.
+    fn cap_armed(&self) -> bool {
+        self.inst_cap.is_some() && !self.cap_emitted
+    }
+
     fn is_finished(&self) -> bool {
         self.stats.completed_tbs == self.desc.grid_blocks()
             && self.outstanding == 0
@@ -368,24 +373,22 @@ pub struct Engine {
     cfg: GpuConfig,
     mem: MemSubsystem,
     sms: Vec<Sm>,
-    /// Event calendar over `(next-tick cycle, component)` with lazy
-    /// invalidation: each component's own `next_tick` stays authoritative,
-    /// and stale heap entries (whose time no longer matches) are discarded
-    /// on peek. `Reverse` lexicographic order pops the earliest cycle and,
-    /// within a cycle, the smallest [`ComponentId`] — dispatcher, then SMs
-    /// by index — the same order the old linear min-scan
-    /// loop produced, so event streams are byte-identical (see
-    /// [`crate::component`] for the merge-key argument).
-    calendar: BinaryHeap<Reverse<(u64, ComponentId)>>,
+    /// Event calendar over `(next-tick cycle, SM index)` with lazy
+    /// invalidation: each SM's own `next_tick` stays authoritative, and
+    /// stale heap entries (whose time no longer matches) are discarded on
+    /// peek. `Reverse` lexicographic order pops the earliest cycle and,
+    /// within a cycle, the lowest SM index — the same order the old linear
+    /// min-scan loop produced, so event streams are byte-identical.
+    calendar: BinaryHeap<Reverse<(u64, usize)>>,
     /// Execution mode (see [`ExecMode`]). [`ExecMode::Scan`] bypasses the
     /// calendar entirely; [`ExecMode::Parallel`] adds the sharded pure
     /// phase in front of the serial calendar loop.
     mode: ExecMode,
-    /// The thread-block dispatcher component: armed whenever dispatch
-    /// opportunities may have changed (launch, assign, preempt, block
-    /// completion/switch-out), which schedules the all-SM dispatch sweep
-    /// on the calendar before anything else at that cycle.
-    dispatcher: TbDispatcher,
+    /// Set whenever dispatch opportunities may have changed (launch,
+    /// assign, preempt, block completion/switch-out); the run loops run the
+    /// all-SM dispatch sweep before their next pop while it is set. Starts
+    /// `true`: a fresh engine sweeps once.
+    dispatch_dirty: bool,
     kernels: Vec<KernelInstance>,
     cycle: u64,
     seed: u64,
@@ -436,13 +439,11 @@ impl Engine {
         Engine {
             mem: MemSubsystem::new(&cfg),
             sms,
-            // Fresh SMs are armed for cycle 0 (so the engine discovers their
-            // idle state), as is the dispatcher.
-            calendar: std::iter::once(Reverse((0, ComponentId::Dispatcher)))
-                .chain((0..n).map(|i| Reverse((0, ComponentId::Sm(i)))))
-                .collect(),
+            // Fresh SMs are armed for cycle 0, so the engine discovers their
+            // idle state.
+            calendar: (0..n).map(|i| Reverse((0, i))).collect(),
             mode: ExecMode::Event,
-            dispatcher: TbDispatcher::new(),
+            dispatch_dirty: true,
             kernels: Vec::new(),
             cycle: 0,
             seed,
@@ -526,7 +527,7 @@ impl Engine {
 
     /// Turn on the shard-race sanitizer (see [`crate::race`]): from now on
     /// every instrumented shared resource — memory partitions, functional
-    /// memory, the dispatcher, the component-wake path — reports its
+    /// memory, the dispatcher, the calendar-wake path — reports its
     /// accesses, and any access observed while Phase-A shard workers are
     /// running is recorded as a violation. Timing is unaffected; the
     /// sanitizer only observes, so sanitized runs stay byte-identical.
@@ -789,18 +790,11 @@ impl Engine {
         };
         if self.mode != ExecMode::Scan {
             // Scan mode does not maintain the calendar; rebuild it from the
-            // authoritative per-component next-tick times.
+            // authoritative per-SM next-tick times.
             self.calendar.clear();
-            if self.dispatcher.armed() {
-                self.calendar.push(Reverse((
-                    self.dispatcher.next_tick(),
-                    ComponentId::Dispatcher,
-                )));
-            }
             for (i, sm) in self.sms.iter().enumerate() {
                 if sm.next_tick() != u64::MAX {
-                    self.calendar
-                        .push(Reverse((sm.next_tick(), ComponentId::Sm(i))));
+                    self.calendar.push(Reverse((sm.next_tick(), i)));
                 }
             }
         }
@@ -811,75 +805,81 @@ impl Engine {
         self.mode
     }
 
-    /// The authoritative next-tick time of a component (`u64::MAX` = idle).
-    fn component_next(&self, cid: ComponentId) -> u64 {
-        match cid {
-            ComponentId::Dispatcher => self.dispatcher.next_tick(),
-            ComponentId::Sm(i) => self.sms[i].next_tick(),
-        }
-    }
-
-    /// Set a component's next-tick time and keep the event calendar in sync.
+    /// Set `sm`'s next-tick time and keep the event calendar in sync.
     ///
     /// All next-tick writes must go through here so the calendar always
     /// holds an entry matching the current value (`u64::MAX` — idle with
     /// nothing pending — needs no entry; stale entries are lazily discarded).
-    fn wake_component(&mut self, cid: ComponentId, t: u64) {
+    fn wake(&mut self, sm: usize, t: u64) {
         if let Some(r) = &self.race {
             r.state().note_shared_access(
-                crate::race::SharedResource::ComponentWake,
+                crate::race::SharedResource::CalendarWake,
                 None,
                 self.cycle,
             );
         }
-        if self.component_next(cid) == t {
+        if self.sms[sm].next_tick() == t {
             // An entry for this exact time is already in the calendar.
             return;
         }
-        match cid {
-            ComponentId::Dispatcher => self.dispatcher.set_next_tick(t),
-            ComponentId::Sm(i) => self.sms[i].set_next_tick(t),
-        }
+        self.sms[sm].set_next_tick(t);
         if t != u64::MAX && self.mode != ExecMode::Scan {
-            self.calendar.push(Reverse((t, cid)));
+            self.calendar.push(Reverse((t, sm)));
         }
     }
 
-    /// Set `sm`'s next-tick time and keep the event calendar in sync.
-    fn wake(&mut self, sm: usize, t: u64) {
-        self.wake_component(ComponentId::Sm(sm), t);
-    }
-
-    /// Arm the dispatcher component at the current cycle: the calendar pops
-    /// it before any other component due at the same or a later cycle (see
-    /// the [`crate::component`] merge key), so the all-SM dispatch sweep
-    /// runs exactly where the legacy dirty-flag loop ran it — before the
-    /// next event.
+    /// Request an all-SM dispatch sweep before the run loop's next pop —
+    /// exactly where the legacy loop swept. Arming is shared engine state,
+    /// so the race sanitizer sees it like a sweep.
     fn mark_dispatch_dirty(&mut self) {
-        let t = self.dispatcher.next_tick().min(self.cycle);
-        self.wake_component(ComponentId::Dispatcher, t);
+        if let Some(r) = &self.race {
+            r.state()
+                .note_shared_access(crate::race::SharedResource::Dispatcher, None, self.cycle);
+        }
+        self.dispatch_dirty = true;
     }
 
-    /// The next `(cycle, component)` to process, without consuming it.
+    /// Run the all-SM dispatch sweep if one is pending. Both run loops call
+    /// this before every pop, so a sweep always precedes the next SM tick
+    /// and never moves the clock.
+    fn sweep_if_dirty(&mut self) {
+        if std::mem::take(&mut self.dispatch_dirty) {
+            self.dispatch_all();
+        }
+    }
+
+    /// The next `(cycle, SM index)` to process, without consuming it.
     /// Calendar mode discards stale entries; scan mode reproduces the legacy
-    /// linear min-scan (which reports idle SMs as `u64::MAX` entries; the
-    /// dispatcher never appears because scan sweeps dispatch every step).
-    fn next_event(&mut self) -> Option<(u64, ComponentId)> {
+    /// linear min-scan (which reports idle SMs as `u64::MAX` entries).
+    fn next_event(&mut self) -> Option<(u64, usize)> {
         if self.mode == ExecMode::Scan {
             return self
                 .sms
                 .iter()
                 .enumerate()
                 .min_by_key(|&(_, sm)| sm.next_tick())
-                .map(|(i, sm)| (sm.next_tick(), ComponentId::Sm(i)));
+                .map(|(i, sm)| (sm.next_tick(), i));
         }
-        while let Some(&Reverse((t, cid))) = self.calendar.peek() {
-            if self.component_next(cid) == t {
-                return Some((t, cid));
+        while let Some(&Reverse((t, i))) = self.calendar.peek() {
+            if self.sms[i].next_tick() == t {
+                return Some((t, i));
             }
             self.calendar.pop();
         }
         None
+    }
+
+    /// Whether `sm` could receive blocks mid-window: it has a free slot AND
+    /// its kernel has blocks to hand out — now, or later in the window via
+    /// a switch-out landing in the resume queue, which requires some SM to
+    /// be mid-preemption (`any_preempting`, evaluated only when needed).
+    /// A full SM is always safe: batched windows and pure ticks never
+    /// complete a block, so no slot frees before the window ends.
+    fn may_gain_blocks(&self, sm: &Sm, any_preempting: impl FnOnce() -> bool) -> bool {
+        sm.assigned().is_some_and(|k| {
+            let ki = &self.kernels[k.0];
+            sm.can_dispatch(k, ki.occupancy) && (ki.has_dispatchable() || any_preempting())
+        })
     }
 
     /// Launch a kernel; blocks start flowing to SMs assigned to it.
@@ -1109,11 +1109,11 @@ impl Engine {
     /// Run the simulation until `target` cycles, returning events in order.
     ///
     /// The loop is event-driven: the calendar pops the earliest pending
-    /// `(cycle, component)` pair directly, jumping over idle windows rather
-    /// than scanning every component per step, and the all-SM dispatch sweep
-    /// only runs when the dispatcher component is armed by something that
-    /// could change dispatchability (launch, assign, preemption, a block
-    /// completing or switching out).
+    /// `(cycle, SM index)` pair directly, jumping over idle windows rather
+    /// than scanning every SM per step, and the all-SM dispatch sweep only
+    /// runs when something could have changed dispatchability (launch,
+    /// assign, preemption, a block completing or switching out). A pending
+    /// sweep runs even when `target` is behind the clock.
     pub fn run_until(&mut self, target: u64) -> Vec<Event> {
         // The caller may have mutated assignments or queues between runs,
         // which can move the earliest possible kernel finish either way.
@@ -1130,47 +1130,27 @@ impl Engine {
         std::mem::take(&mut self.events)
     }
 
-    /// The serial event loop: pop and tick pending components in
-    /// `(cycle, component)` order through `target`. Returns `true` when the
-    /// run broke early on a kernel finish (see
+    /// The serial event loop: sweep dispatch if dirty, then pop and tick
+    /// pending SMs in `(cycle, SM index)` order through `target`. Returns
+    /// `true` when the run broke early on a kernel finish (see
     /// [`Engine::set_break_on_kernel_finish`]), `false` when every event
     /// through `target` was processed.
     fn step_events_until(&mut self, target: u64) -> bool {
         loop {
             // Scan mode reproduces the legacy hot loop, which swept dispatch
-            // on every iteration; the event-driven loop schedules the sweep
-            // through the dispatcher component on the calendar instead.
-            if self.mode == ExecMode::Scan {
-                self.dispatcher.disarm();
-                self.dispatch_all();
-            }
-            let Some((t, cid)) = self.next_event() else {
+            // on every iteration; the other modes sweep only when dirty.
+            self.dispatch_dirty |= self.mode == ExecMode::Scan;
+            self.sweep_if_dirty();
+            let Some((t, idx)) = self.next_event() else {
                 return false;
             };
             if t > target {
-                // The legacy loop swept a pending dirty flag even when no
-                // event fit the window (possible when the caller's target is
-                // behind the current cycle); a dispatcher armed past the
-                // target must still sweep once before returning.
-                if self.dispatcher.armed() {
-                    self.dispatcher.disarm();
-                    self.dispatch_all();
-                }
                 return false;
             }
             if self.mode != ExecMode::Scan {
                 self.calendar.pop();
             }
             self.cycle = self.cycle.max(t);
-            let ComponentId::Sm(idx) = cid else {
-                // The dispatcher. The sweep spans every SM and kernel queue,
-                // so the engine runs it directly; ticking the component only
-                // consumes the arming. It never advances the clock: the
-                // dispatcher is armed at (or before) the current cycle.
-                self.dispatcher.disarm();
-                self.dispatch_all();
-                continue;
-            };
             let resident = self.sms[idx].resident_kernel();
             // Batched issue must stop where the serial schedule could be
             // observed or perturbed: at the run horizon (the caller may
@@ -1188,26 +1168,13 @@ impl Engine {
             };
             let limits = TickLimits {
                 horizon,
-                max_insts: match resident {
-                    Some(k)
-                        if self.kernels[k.0].inst_cap.is_some()
-                            && !self.kernels[k.0].cap_emitted =>
-                    {
-                        0
-                    }
-                    _ => u64::MAX,
+                max_insts: if resident.is_some_and(|k| self.kernels[k.0].cap_armed()) {
+                    0
+                } else {
+                    u64::MAX
                 },
-                // The SM can gain blocks mid-window only if it has a free
-                // slot AND the kernel has blocks to hand out — now, or
-                // potentially later in the window via a switch-out landing in
-                // the resume queue, which requires some SM to be mid-
-                // preemption. A full SM is always safe: batched windows never
-                // complete a block, so no slot frees before the window ends.
-                may_gain_blocks: self.sms[idx].assigned().is_some_and(|k| {
-                    self.sms[idx].can_dispatch(k, self.kernels[k.0].occupancy)
-                        && (self.kernels[k.0].has_dispatchable()
-                            || self.sms.iter().any(Sm::is_preempting))
-                }),
+                may_gain_blocks: self
+                    .may_gain_blocks(&self.sms[idx], || self.sms.iter().any(Sm::is_preempting)),
             };
             let mut out = SmOutput::default();
             let next = self.sms[idx]
@@ -1230,11 +1197,9 @@ impl Engine {
                 if let Some(k) = resident {
                     let ki = &mut self.kernels[k.0];
                     ki.stats.issued_insts += u64::from(out.issued_insts);
-                    if let Some(cap) = ki.inst_cap {
-                        if !ki.cap_emitted && ki.stats.issued_insts >= cap {
-                            ki.cap_emitted = true;
-                            self.events.push(Event::CapReached { kernel: k });
-                        }
+                    if ki.cap_armed() && ki.inst_cap.is_some_and(|c| ki.stats.issued_insts >= c) {
+                        ki.cap_emitted = true;
+                        self.events.push(Event::CapReached { kernel: k });
                     }
                 }
             }
@@ -1257,7 +1222,7 @@ impl Engine {
     /// Each epoch picks a bound `min(target, t0 + EPOCH_QUANTUM)` from the
     /// earliest pending event `t0`, advances every eligible SM concurrently
     /// through its pure ticks up to the bound, then replays the remaining
-    /// *interaction* ticks serially in `(cycle, component)` calendar order —
+    /// *interaction* ticks serially in `(cycle, SM index)` calendar order —
     /// the deterministic merge point for everything observable. Output is
     /// independent of both the shard count and the quantum because pure
     /// ticks touch no shared state and every interaction still executes at
@@ -1270,12 +1235,8 @@ impl Engine {
         const EPOCH_QUANTUM: u64 = 8192;
         loop {
             // Run a pending sweep before sizing the epoch: shard eligibility
-            // (`advance_shards`' job list) must see post-dispatch state, so
-            // the sweep cannot wait for its calendar pop in Phase B.
-            if self.dispatcher.armed() {
-                self.dispatcher.disarm();
-                self.dispatch_all();
-            }
+            // (`advance_shards`' job list) must see post-dispatch state.
+            self.sweep_if_dirty();
             let Some((t0, _)) = self.next_event() else {
                 return false;
             };
@@ -1283,14 +1244,9 @@ impl Engine {
                 return false;
             }
             let bound = target.min(t0.saturating_add(EPOCH_QUANTUM));
-            // While an instruction cap is armed, other SMs' cap checks read
-            // the capped kernel's issue counter tick by tick; only the
-            // fully-serial loop preserves that ordering.
-            let cap_armed = self
-                .kernels
-                .iter()
-                .any(|k| k.inst_cap.is_some() && !k.cap_emitted);
-            if !cap_armed {
+            // While an instruction cap is armed, only the fully-serial loop
+            // preserves the tick-by-tick order of the cap checks.
+            if !self.kernels.iter().any(KernelInstance::cap_armed) {
                 let mut bound_a = bound;
                 if self.break_on_kernel_finish {
                     // An early return must leave the machine exactly as the
@@ -1318,24 +1274,20 @@ impl Engine {
         let any_preempting = self.sms.iter().any(Sm::is_preempting);
         // An SM is eligible unless the serial phase owns a transition of
         // its state this epoch: an in-progress preemption, or a possible
-        // mid-epoch block arrival (the serial `may_gain_blocks` condition,
-        // which pure ticks cannot change: they never complete blocks, and
-        // preemptions only start between runs or at serial break points).
+        // mid-epoch block arrival (which pure ticks cannot change: they
+        // never complete blocks, and preemptions only start between runs or
+        // at serial break points).
         let jobs: Vec<Option<u64>> = self
             .sms
             .iter()
             .map(|sm| {
                 let start = sm.next_tick().max(self.cycle);
-                let gainable = sm.assigned().is_some_and(|k| {
-                    sm.can_dispatch(k, self.kernels[k.0].occupancy)
-                        && (self.kernels[k.0].has_dispatchable() || any_preempting)
-                });
                 (!sm.is_preempting()
                     && sm.resident_count() > 0
                     && sm.next_tick() != u64::MAX
                     && start <= bound
-                    && !gainable)
-                    .then_some(start)
+                    && !self.may_gain_blocks(sm, || any_preempting))
+                .then_some(start)
             })
             .collect();
         if !jobs.iter().any(Option::is_some) {

@@ -43,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod block;
-pub mod component;
 pub mod config;
 pub mod engine;
 pub mod events;
@@ -60,7 +59,6 @@ pub mod trace;
 pub mod warp;
 
 pub use block::{BlockId, BlockRun, BlockStats, TbSnapshot};
-pub use component::ComponentId;
 pub use config::{GpuConfig, WarpSched, CYCLES_PER_US};
 pub use engine::{Engine, Event, ExecMode, KernelId};
 pub use events::{BlockDecision, BlockExit, EventLog, ObsEvent, ShedReason, TechniqueEstimate};

@@ -4,7 +4,7 @@
 //! one invariant: during Phase A of an epoch, the sharded workers advance
 //! SMs through *pure* ticks only — ticks whose effects stay entirely inside
 //! the SM — and everything that touches shared engine state (the memory
-//! subsystem, functional memory, the dispatcher, component wakes) replays
+//! subsystem, functional memory, the dispatcher, calendar wakes) replays
 //! serially in Phase B calendar order. The invariant used to be enforced by
 //! a prose checklist and code review; this module machine-checks it at run
 //! time, the same way [`FlushSanitizer`](crate::sanitizer::FlushSanitizer)
@@ -14,7 +14,7 @@
 //!
 //! When enabled ([`Engine::enable_race_sanitizer`](crate::Engine::enable_race_sanitizer)),
 //! every instrumented shared resource — each memory partition, each
-//! kernel's functional memory, the TB dispatcher, the component-wake path —
+//! kernel's functional memory, the TB dispatcher, the calendar-wake path —
 //! reports its accesses to a shared `RaceState`. The engine raises a
 //! phase flag for exactly the window in which Phase-A shard workers run,
 //! and each worker claims its SM in a shadow ownership map as it advances.
@@ -71,10 +71,10 @@ pub enum SharedResource {
     MemPartition(usize),
     /// A kernel's functional memory (effect application).
     FuncMem(usize),
-    /// The thread-block dispatcher sweep.
+    /// The thread-block dispatcher: its sweep and its dirty flag.
     Dispatcher,
-    /// The component-wake path (calendar mutation).
-    ComponentWake,
+    /// The calendar-wake path (an SM's next-tick write).
+    CalendarWake,
     /// The deliberately-racy test cell used to validate the oracle itself
     /// (see [`Engine::attach_racy_test_cell`](crate::Engine::attach_racy_test_cell)).
     TestCell,
@@ -86,7 +86,7 @@ impl std::fmt::Display for SharedResource {
             SharedResource::MemPartition(p) => write!(f, "mem-partition {p}"),
             SharedResource::FuncMem(k) => write!(f, "functional memory of kernel {k}"),
             SharedResource::Dispatcher => write!(f, "tb dispatcher"),
-            SharedResource::ComponentWake => write!(f, "component wake"),
+            SharedResource::CalendarWake => write!(f, "calendar wake"),
             SharedResource::TestCell => write!(f, "test shared cell"),
         }
     }
@@ -404,7 +404,7 @@ mod tests {
         san.state().enter_pure_phase();
         for i in 0..(DETAIL_CAP as u64 + 10) {
             san.state()
-                .note_shared_access(SharedResource::ComponentWake, None, i);
+                .note_shared_access(SharedResource::CalendarWake, None, i);
         }
         let r = san.report();
         assert_eq!(r.violation_count, DETAIL_CAP as u64 + 10);

@@ -113,9 +113,9 @@ fn run_scenario(mode: ExecMode) -> (Vec<Event>, String, String) {
         }
     }
     events.extend(e.run_until(e.cycle() + 3_000_000));
-    // Partition stats pull the memory-partition components into the
-    // byte-identity check: the calendar must tick them at the same cycles
-    // in every mode for the retirement counters to agree.
+    // Partition stats pull the memory partitions' retirement counters into
+    // the byte-identity check: every mode must issue the same requests and
+    // stop at the same cycle for them to agree.
     let stats = format!(
         "{:?} | {:?} | {:?} | {:?}",
         e.gpu_stats(),
@@ -342,6 +342,62 @@ fn break_on_finish_matches_at_every_phase_offset() {
                 assert_eq!(g.1, r.1, "offset {offset}: {mode:?} state after run {i}");
             }
         }
+    }
+}
+
+#[test]
+fn target_behind_the_clock_still_sweeps_once() {
+    // A launch and assignments made between runs leave a dispatch sweep
+    // pending. `run_until` with a target below the current cycle ticks no
+    // SM, but must still run that sweep — once, before it returns — exactly
+    // like the legacy loop's dirty flag: the new kernel's blocks become
+    // resident, the clock stays put and nothing issues.
+    let cfg = four_sm_config();
+    let run = |mode: ExecMode| {
+        let mut e = Engine::with_seed(cfg.clone(), 17);
+        e.set_exec_mode(mode);
+        arm_race_check(&mut e);
+        e.enable_event_log(1 << 14);
+        let ka = e.launch_kernel(compute_kernel());
+        e.assign_sm(0, Some(ka));
+        e.assign_sm(1, Some(ka));
+        let mut log = vec![(e.run_until(20_000), observable_state(&e, &[ka]))];
+        let kb = e.launch_kernel(memory_kernel());
+        e.assign_sm(2, Some(kb));
+        e.assign_sm(3, Some(kb));
+        let (before, issued) = (e.cycle(), e.gpu_stats().total_issued_insts);
+        let events = e.run_until(before - 5_000);
+        assert_eq!(e.cycle(), before, "{mode:?}: the clock moved");
+        assert_eq!(
+            e.gpu_stats().total_issued_insts,
+            issued,
+            "{mode:?}: an SM ticked behind the clock"
+        );
+        let resident = e.sm_resident_count(2) + e.sm_resident_count(3);
+        let begun = e
+            .event_log()
+            .expect("event log enabled")
+            .iter()
+            .filter(|ev| ev.kind() == "block_begin" && ev.kernel() == kb)
+            .count();
+        assert!(resident > 0, "{mode:?}: the pending sweep did not run");
+        assert_eq!(
+            begun, resident,
+            "{mode:?}: blocks dispatched more than once"
+        );
+        log.push((events, observable_state(&e, &[ka, kb])));
+        log.push((e.run_for(200_000), observable_state(&e, &[ka, kb])));
+        let trace = chrome_trace_json(&e).expect("event log enabled");
+        assert_race_clean(&e);
+        (log, trace)
+    };
+    let reference = run(ExecMode::Scan);
+    for mode in [
+        ExecMode::Event,
+        ExecMode::Parallel { shards: 1 },
+        ExecMode::Parallel { shards: 2 },
+    ] {
+        assert_eq!(run(mode), reference, "{mode:?} diverged from scan");
     }
 }
 

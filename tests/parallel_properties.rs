@@ -140,9 +140,9 @@ fn run_raced(
         guard += 1;
         assert!(guard < 200, "kernels did not finish");
     }
-    // Partition stats fold the memory-partition components into the
-    // comparison: the component calendar must tick them at identical
-    // cycles in every mode for the retirement counters to agree.
+    // Partition stats fold the memory partitions' retirement counters into
+    // the comparison: every mode must issue the same requests and stop at
+    // the same cycle for them to agree.
     let stats = format!(
         "{:?} | {:?} | {:?} | {:?}",
         e.gpu_stats(),
@@ -182,7 +182,7 @@ proptest! {
     /// contract: on arbitrary kernels and 1/2/4 shards it must never fire,
     /// and arming it must not perturb the byte-identical output. (That the
     /// oracle actually watches traffic — and catches a genuinely racy
-    /// component — is pinned by `racy_component_is_caught_in_parallel_mode`
+    /// shared resource — is pinned by `racy_component_is_caught_in_parallel_mode`
     /// below and the engine's own unit tests.)
     #[test]
     fn race_sanitizer_never_fires_on_generated_kernels(
@@ -204,9 +204,9 @@ proptest! {
         }
     }
 
-    /// The component calendar orders heterogeneous components (SMs and
-    /// memory partitions) identically to the linear reference scan on
-    /// arbitrary kernels: the merge key `(cycle, component_id)` resolves
+    /// The event calendar orders SM ticks identically to the linear
+    /// reference scan on arbitrary kernels: the key `(cycle, SM index)`,
+    /// with any pending dispatch sweep run before the next pop, resolves
     /// every tie the same way in both modes.
     #[test]
     fn component_calendar_matches_scan_reference(
@@ -354,7 +354,7 @@ proptest! {
     }
 }
 
-/// The oracle's positive control: a deliberately racy component (a shared
+/// The oracle's positive control: a deliberately racy resource (a shared
 /// cell bumped from inside the pure per-SM tick, bypassing the Interaction
 /// replay) must be flagged. Without this, a silent sanitizer and a correct
 /// engine are indistinguishable.
