@@ -18,12 +18,12 @@
 //!   time and runs no batched issue. Slow and obviously correct; kept as
 //!   the differential baseline.
 //! - [`ExecMode::Event`] (the default) — per-SM next-tick times live both
-//!   in the authoritative SMs themselves and in a binary-heap *event
-//!   calendar* of `(cycle, SM index)` entries with lazy invalidation, so
-//!   each step pops the earliest pending SM directly instead of scanning
-//!   all of them, and globally idle windows are skipped in one jump.
-//!   Entries order by cycle, then SM index — the order the legacy min-scan
-//!   produced — so the rewrite is observably identical.
+//!   in the authoritative SMs themselves and in an *event calendar*: a
+//!   fixed-size tournament tree with one `(cycle, SM index)` key per SM,
+//!   so each step reads the earliest pending SM from the root instead of
+//!   scanning all of them, and globally idle windows are skipped in one
+//!   jump. Keys order by cycle, then SM index — the order the legacy
+//!   min-scan produced — so the rewrite is observably identical.
 //! - [`ExecMode::Parallel`] — the calendar engine plus an intra-run
 //!   parallel phase: between *epoch barriers* the SMs are partitioned into
 //!   contiguous shards, each advanced on its own worker thread through
@@ -41,7 +41,7 @@
 //! The thread-block dispatcher is not on the calendar. Anything that can
 //! change dispatchability (launch, assign, preemption, a block completing
 //! or switching out) sets a dirty flag, and every loop iteration runs the
-//! all-SM dispatch sweep first if the flag is set — before the next pop,
+//! all-SM dispatch sweep first if the flag is set — before the next tick,
 //! exactly where the legacy loop ran it. Memory partitions are not on the
 //! calendar either: request timing is fixed at issue, and their statistics
 //! are computed when read (see [`crate::mem`]). The event-ordering
@@ -49,10 +49,10 @@
 //! produced by a serial tick at a definite `(cycle, SM index)` point (or by
 //! the sweep that precedes it), and consumers receive them in that order.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::block::{BlockId, BlockRun, TbSnapshot};
+use crate::calendar::Calendar;
 use crate::events::{BlockDecision, BlockExit, EventLog, ObsEvent, ShedReason};
 use crate::kernel::{KernelDesc, Segment};
 use crate::mem::MemSubsystem;
@@ -373,23 +373,29 @@ pub struct Engine {
     cfg: GpuConfig,
     mem: MemSubsystem,
     sms: Vec<Sm>,
-    /// Event calendar over `(next-tick cycle, SM index)` with lazy
-    /// invalidation: each SM's own `next_tick` stays authoritative, and
-    /// stale heap entries (whose time no longer matches) are discarded on
-    /// peek. `Reverse` lexicographic order pops the earliest cycle and,
-    /// within a cycle, the lowest SM index — the same order the old linear
-    /// min-scan loop produced, so event streams are byte-identical.
-    calendar: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Execution mode (see [`ExecMode`]). [`ExecMode::Scan`] bypasses the
-    /// calendar entirely; [`ExecMode::Parallel`] adds the sharded pure
+    /// Event calendar: one `(next-tick cycle, SM index)` key per SM in a
+    /// tournament tree (see [`crate::calendar`]), always equal to the SMs'
+    /// own `next_tick`s. Its minimum is the earliest cycle and, within a
+    /// cycle, the lowest SM index — the same order the linear min-scan
+    /// produces, so event streams are byte-identical. Kept in sync in
+    /// every mode, so switching modes needs no rebuild.
+    calendar: Calendar,
+    /// Execution mode (see [`ExecMode`]). [`ExecMode::Scan`] never reads
+    /// the calendar; [`ExecMode::Parallel`] adds the sharded pure
     /// phase in front of the serial calendar loop.
     mode: ExecMode,
     /// Set whenever dispatch opportunities may have changed (launch,
     /// assign, preempt, block completion/switch-out); the run loops run the
-    /// all-SM dispatch sweep before their next pop while it is set. Starts
+    /// all-SM dispatch sweep before their next tick while it is set. Starts
     /// `true`: a fresh engine sweeps once.
     dispatch_dirty: bool,
     kernels: Vec<KernelInstance>,
+    /// Indices of the launched kernels that have not finished, in launch
+    /// order: the only ones [`Engine::kernel_finish_lower_bound`] visits.
+    live_kernels: Vec<usize>,
+    /// The serial loop's tick output, reused across ticks so its vectors
+    /// keep their capacity; empty between ticks.
+    tick_out: SmOutput,
     cycle: u64,
     seed: u64,
     prefer_preempted: bool,
@@ -441,10 +447,12 @@ impl Engine {
             sms,
             // Fresh SMs are armed for cycle 0, so the engine discovers their
             // idle state.
-            calendar: (0..n).map(|i| Reverse((0, i))).collect(),
+            calendar: Calendar::new(n),
             mode: ExecMode::Event,
             dispatch_dirty: true,
             kernels: Vec::new(),
+            live_kernels: Vec::new(),
+            tick_out: SmOutput::default(),
             cycle: 0,
             seed,
             prefer_preempted: true,
@@ -788,16 +796,6 @@ impl Engine {
             },
             m => m,
         };
-        if self.mode != ExecMode::Scan {
-            // Scan mode does not maintain the calendar; rebuild it from the
-            // authoritative per-SM next-tick times.
-            self.calendar.clear();
-            for (i, sm) in self.sms.iter().enumerate() {
-                if sm.next_tick() != u64::MAX {
-                    self.calendar.push(Reverse((sm.next_tick(), i)));
-                }
-            }
-        }
     }
 
     /// The current execution mode.
@@ -807,9 +805,9 @@ impl Engine {
 
     /// Set `sm`'s next-tick time and keep the event calendar in sync.
     ///
-    /// All next-tick writes must go through here so the calendar always
-    /// holds an entry matching the current value (`u64::MAX` — idle with
-    /// nothing pending — needs no entry; stale entries are lazily discarded).
+    /// All next-tick writes must go through here so the calendar's key for
+    /// `sm` always equals the SM's own value (`u64::MAX`: idle with nothing
+    /// pending).
     fn wake(&mut self, sm: usize, t: u64) {
         if let Some(r) = &self.race {
             r.state().note_shared_access(
@@ -819,16 +817,13 @@ impl Engine {
             );
         }
         if self.sms[sm].next_tick() == t {
-            // An entry for this exact time is already in the calendar.
             return;
         }
         self.sms[sm].set_next_tick(t);
-        if t != u64::MAX && self.mode != ExecMode::Scan {
-            self.calendar.push(Reverse((t, sm)));
-        }
+        self.calendar.set(sm, t);
     }
 
-    /// Request an all-SM dispatch sweep before the run loop's next pop —
+    /// Request an all-SM dispatch sweep before the run loop's next tick —
     /// exactly where the legacy loop swept. Arming is shared engine state,
     /// so the race sanitizer sees it like a sweep.
     fn mark_dispatch_dirty(&mut self) {
@@ -840,7 +835,7 @@ impl Engine {
     }
 
     /// Run the all-SM dispatch sweep if one is pending. Both run loops call
-    /// this before every pop, so a sweep always precedes the next SM tick
+    /// this before every step, so a sweep always precedes the next SM tick
     /// and never moves the clock.
     fn sweep_if_dirty(&mut self) {
         if std::mem::take(&mut self.dispatch_dirty) {
@@ -848,10 +843,11 @@ impl Engine {
         }
     }
 
-    /// The next `(cycle, SM index)` to process, without consuming it.
-    /// Calendar mode discards stale entries; scan mode reproduces the legacy
-    /// linear min-scan (which reports idle SMs as `u64::MAX` entries).
-    fn next_event(&mut self) -> Option<(u64, usize)> {
+    /// The next `(cycle, SM index)` to process, without consuming it: the
+    /// calendar's root, or in scan mode the legacy linear min-scan (which
+    /// reports idle SMs as `u64::MAX` entries) as the independent
+    /// reference.
+    fn next_event(&self) -> Option<(u64, usize)> {
         if self.mode == ExecMode::Scan {
             return self
                 .sms
@@ -860,13 +856,7 @@ impl Engine {
                 .min_by_key(|&(_, sm)| sm.next_tick())
                 .map(|(i, sm)| (sm.next_tick(), i));
         }
-        while let Some(&Reverse((t, i))) = self.calendar.peek() {
-            if self.sms[i].next_tick() == t {
-                return Some((t, i));
-            }
-            self.calendar.pop();
-        }
-        None
+        self.calendar.min()
     }
 
     /// Whether `sm` could receive blocks mid-window: it has a free slot AND
@@ -888,6 +878,7 @@ impl Engine {
         self.kernels.push(KernelInstance::new(
             id, desc, &self.cfg, self.seed, self.cycle,
         ));
+        self.live_kernels.push(id.0);
         self.mark_dispatch_dirty();
         id
     }
@@ -1100,7 +1091,7 @@ impl Engine {
             self.mem.bulk_access(self.cycle, desc_bytes * n);
         }
         let done = out.preempt_done.is_some();
-        self.process_output(sm, out);
+        self.process_output(sm, &mut out);
         self.wake(sm, self.cycle.max(1));
         self.mark_dispatch_dirty();
         Ok(done)
@@ -1108,7 +1099,7 @@ impl Engine {
 
     /// Run the simulation until `target` cycles, returning events in order.
     ///
-    /// The loop is event-driven: the calendar pops the earliest pending
+    /// The loop is event-driven: the calendar yields the earliest pending
     /// `(cycle, SM index)` pair directly, jumping over idle windows rather
     /// than scanning every SM per step, and the all-SM dispatch sweep only
     /// runs when something could have changed dispatchability (launch,
@@ -1130,11 +1121,11 @@ impl Engine {
         std::mem::take(&mut self.events)
     }
 
-    /// The serial event loop: sweep dispatch if dirty, then pop and tick
-    /// pending SMs in `(cycle, SM index)` order through `target`. Returns
-    /// `true` when the run broke early on a kernel finish (see
-    /// [`Engine::set_break_on_kernel_finish`]), `false` when every event
-    /// through `target` was processed.
+    /// The serial event loop: sweep dispatch if dirty, then tick the
+    /// calendar's earliest pending SM, in `(cycle, SM index)` order through
+    /// `target`. Returns `true` when the run broke early on a kernel finish
+    /// (see [`Engine::set_break_on_kernel_finish`]), `false` when every
+    /// event through `target` was processed.
     fn step_events_until(&mut self, target: u64) -> bool {
         loop {
             // Scan mode reproduces the legacy hot loop, which swept dispatch
@@ -1146,9 +1137,6 @@ impl Engine {
             };
             if t > target {
                 return false;
-            }
-            if self.mode != ExecMode::Scan {
-                self.calendar.pop();
             }
             self.cycle = self.cycle.max(t);
             let resident = self.sms[idx].resident_kernel();
@@ -1176,14 +1164,13 @@ impl Engine {
                 may_gain_blocks: self
                     .may_gain_blocks(&self.sms[idx], || self.sms.iter().any(Sm::is_preempting)),
             };
-            let mut out = SmOutput::default();
             let next = self.sms[idx]
                 .tick_bounded(
                     self.cycle,
                     resident.map(|k| &self.kernels[k.0].desc),
                     Some(&mut self.mem),
                     self.seed,
-                    &mut out,
+                    &mut self.tick_out,
                     &limits,
                 )
                 .expect("a tick with the memory subsystem always commits");
@@ -1193,17 +1180,24 @@ impl Engine {
                 next.max(self.cycle + 1)
             };
             self.wake(idx, wake_at);
-            if out.issued_insts > 0 {
+            let issued = std::mem::take(&mut self.tick_out.issued_insts);
+            if issued > 0 {
                 if let Some(k) = resident {
                     let ki = &mut self.kernels[k.0];
-                    ki.stats.issued_insts += u64::from(out.issued_insts);
+                    ki.stats.issued_insts += u64::from(issued);
                     if ki.cap_armed() && ki.inst_cap.is_some_and(|c| ki.stats.issued_insts >= c) {
                         ki.cap_emitted = true;
                         self.events.push(Event::CapReached { kernel: k });
                     }
                 }
             }
-            self.process_output(idx, out);
+            // Most ticks only issue; skip the output walk unless the tick
+            // produced something else.
+            if self.tick_out.has_interactions() {
+                let mut out = std::mem::take(&mut self.tick_out);
+                self.process_output(idx, &mut out);
+                self.tick_out = out;
+            }
             if self.break_on_kernel_finish && self.kernel_finish_pending {
                 self.kernel_finish_pending = false;
                 return true;
@@ -1359,7 +1353,7 @@ impl Engine {
         for (i, next, issued) in results {
             // `next` is the cycle of the SM's first unexecuted tick (its
             // first interaction, or its wake time past the bound), exactly
-            // what the calendar must pop for the serial phase.
+            // what the calendar must yield for the serial phase.
             self.wake(i, next);
             if issued > 0 {
                 if let Some(k) = self.sms[i].resident_kernel() {
@@ -1419,22 +1413,20 @@ impl Engine {
         let base = self.cycle.max(now);
         let interval = self.cfg.issue_interval();
         let chunk = u64::from(self.cfg.issue_chunk.max(1));
-        // Exact per-kernel remainder of the block (across all kernels)
-        // furthest from completion on each SM.
-        let mut resident_max = vec![0u64; self.kernels.len()];
-        for sm in &self.sms {
-            for b in sm.blocks() {
-                let rem = b.total_insts().saturating_sub(b.issued_insts());
-                let slot = &mut resident_max[b.id.kernel.0];
-                *slot = (*slot).max(rem);
-            }
-        }
         let mut lb = u64::MAX;
-        for (ki, k) in self.kernels.iter().enumerate() {
-            if k.stats.finished {
-                continue;
-            }
-            let mut rem_max = resident_max[ki];
+        for &ki in &self.live_kernels {
+            let k = &self.kernels[ki];
+            // Exact remainder of the kernel's resident block furthest from
+            // completion. An SM only ever holds blocks of one kernel (see
+            // `Sm::can_dispatch`), so SMs of other kernels are skipped whole.
+            let mut rem_max = self
+                .sms
+                .iter()
+                .filter(|sm| sm.resident_kernel() == Some(KernelId(ki)))
+                .flat_map(Sm::blocks)
+                .map(|b| b.total_insts().saturating_sub(b.issued_insts()))
+                .max()
+                .unwrap_or(0);
             if k.next_fresh < k.desc.grid_blocks() || !k.restart_queue.is_empty() {
                 rem_max = rem_max.max(k.min_block_total);
             }
@@ -1453,14 +1445,17 @@ impl Engine {
         lb
     }
 
-    fn process_output(&mut self, sm: usize, out: SmOutput) {
+    /// Apply and drain one tick's output (effects, switch-outs, block
+    /// completions, a finished preemption), leaving `out` empty with its
+    /// capacity kept for the next tick.
+    fn process_output(&mut self, sm: usize, out: &mut SmOutput) {
         // A freed slot, a newly queued context or a finished preemption can
         // make dispatch possible again; nothing else an SM tick produces
         // changes dispatchability.
         if !out.completed.is_empty() || !out.switched_out.is_empty() || out.preempt_done.is_some() {
             self.mark_dispatch_dirty();
         }
-        for e in &out.effects {
+        for e in out.effects.drain(..) {
             if let Some(r) = &self.race {
                 r.state().note_shared_access(
                     crate::race::SharedResource::FuncMem(e.kernel.0),
@@ -1468,13 +1463,13 @@ impl Engine {
                     self.cycle,
                 );
             }
-            self.kernels[e.kernel.0].apply_effect(e);
+            self.kernels[e.kernel.0].apply_effect(&e);
             if let Some(san) = self.san.as_mut() {
                 let seg = self.kernels[e.kernel.0].desc.program().segments()[e.seg_idx];
                 san.on_effect(e.kernel, e.block, e.seg_idx, &seg);
             }
         }
-        for snap in out.switched_out {
+        for snap in out.switched_out.drain(..) {
             let k = snap.id.kernel;
             if let Some(log) = self.obs.as_mut() {
                 log.push(ObsEvent::BlockEnd {
@@ -1491,7 +1486,7 @@ impl Engine {
             ki.release_block();
             ki.resume_queue.push_back(snap);
         }
-        for (id, insts, cycles) in out.completed {
+        for (id, insts, cycles) in out.completed.drain(..) {
             if let Some(log) = self.obs.as_mut() {
                 log.push(ObsEvent::BlockEnd {
                     cycle: self.cycle,
@@ -1530,12 +1525,13 @@ impl Engine {
             if ki.is_finished() && !ki.stats.finished {
                 ki.stats.finished = true;
                 ki.stats.finished_at = Some(self.cycle);
+                self.live_kernels.retain(|&k| k != id.kernel.0);
                 self.events
                     .push(Event::KernelFinished { kernel: id.kernel });
                 self.kernel_finish_pending = true;
             }
         }
-        if let Some(latency) = out.preempt_done {
+        if let Some(latency) = out.preempt_done.take() {
             if let Some(rec_idx) = self.open_preempts[sm].take() {
                 let rec = &mut self.preempt_records[rec_idx];
                 rec.completed_at = Some(rec.requested_at + latency);
@@ -2138,5 +2134,139 @@ mod tests {
         assert!(e.kernel_stats(k).finished);
         assert_eq!(cell.value(), 0, "serial modes never commit pure ticks");
         assert!(e.race_sanitizer().expect("enabled").report().is_clean());
+    }
+
+    /// [`Engine::kernel_finish_lower_bound`] by its plain formula: one walk
+    /// of every resident block into a table sized by every kernel ever
+    /// launched, then one pass over all of those kernels, skipping finished
+    /// ones. The live-kernel walk must return exactly this.
+    fn reference_finish_bound(e: &Engine, now: u64) -> u64 {
+        let base = e.cycle.max(now);
+        let interval = e.cfg.issue_interval();
+        let chunk = u64::from(e.cfg.issue_chunk.max(1));
+        let mut resident_max = vec![0u64; e.kernels.len()];
+        for sm in &e.sms {
+            for b in sm.blocks() {
+                let rem = b.total_insts().saturating_sub(b.issued_insts());
+                let slot = &mut resident_max[b.id.kernel.0];
+                *slot = (*slot).max(rem);
+            }
+        }
+        let mut lb = u64::MAX;
+        for (ki, k) in e.kernels.iter().enumerate() {
+            if k.stats.finished {
+                continue;
+            }
+            let mut rem_max = resident_max[ki];
+            if k.next_fresh < k.desc.grid_blocks() || !k.restart_queue.is_empty() {
+                rem_max = rem_max.max(k.min_block_total);
+            }
+            for snap in &k.resume_queue {
+                let total = snap
+                    .scaled_segs
+                    .iter()
+                    .map(|&n| u64::from(n))
+                    .sum::<u64>()
+                    .saturating_mul(snap.warps.len() as u64);
+                rem_max = rem_max.max(total.saturating_sub(snap.insts));
+            }
+            let issue_time = interval.saturating_mul(rem_max.saturating_sub(chunk));
+            lb = lb.min(base.saturating_add(issue_time));
+        }
+        lb
+    }
+
+    mod finish_bound {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_kernel() -> impl Strategy<Value = KernelDesc> {
+            (
+                proptest::collection::vec(
+                    prop_oneof![
+                        (1u32..300).prop_map(Segment::compute),
+                        (1u32..40).prop_map(Segment::load),
+                        (1u32..20).prop_map(Segment::store),
+                        (1u32..8).prop_map(Segment::overwrite),
+                    ],
+                    1..5,
+                ),
+                1u32..24, // grid blocks
+                1u32..4,  // warps per block
+                0u64..3,  // jitter bucket
+            )
+                .prop_map(|(segs, grid, warps, jit)| {
+                    KernelDesc::builder("bound")
+                        .grid_blocks(grid)
+                        .threads_per_block(warps * 32)
+                        .regs_per_thread(16)
+                        .program(Program::new(segs))
+                        .jitter_pct(jit as f64 * 0.15)
+                        .build()
+                        .expect("generated kernels are valid")
+                })
+        }
+
+        proptest! {
+            /// The live-kernel walk equals the reference at every run
+            /// boundary and at several `now`s: kernels launched mid-run and
+            /// retired on finish, SMs reassigned, switched, drained and
+            /// flushed (restart and resume queues non-empty), both
+            /// issue-chunk widths.
+            #[test]
+            fn live_walk_matches_reference(
+                seed in 0u64..1_000_000,
+                wide_chunk in any::<bool>(),
+                kernels in proptest::collection::vec(arb_kernel(), 1..5),
+                steps in proptest::collection::vec((1u64..20_000, any::<u8>()), 1..60),
+            ) {
+                let cfg = GpuConfig {
+                    num_sms: 3,
+                    issue_chunk: if wide_chunk { 8 } else { 1 },
+                    ..GpuConfig::tiny()
+                };
+                let n = cfg.num_sms;
+                let mut e = Engine::with_seed(cfg, seed);
+                let mut launched: Vec<KernelId> = Vec::new();
+                for (step, &(dt, action)) in steps.iter().enumerate() {
+                    if let Some(k) = kernels.get(step) {
+                        launched.push(e.launch_kernel(k.clone()));
+                    }
+                    let sm = usize::from(action >> 2) % n;
+                    match action & 3 {
+                        0 => {
+                            let k = launched[usize::from(action >> 4) % launched.len()];
+                            e.assign_sm(sm, Some(k));
+                        }
+                        1 if e.sm_resident_count(sm) > 0 && !e.sm_is_preempting(sm) => {
+                            let technique = match action >> 6 {
+                                0 => Technique::Switch,
+                                1 => Technique::Drain,
+                                _ => Technique::Flush,
+                            };
+                            let plan = SmPreemptPlan::uniform(e.sm_resident_indices(sm), technique);
+                            // An unsafe flush is refused; the state is still a valid probe.
+                            let _ = e.preempt_sm(sm, &plan);
+                        }
+                        2 => e.assign_sm(sm, None),
+                        _ => {}
+                    }
+                    for now in [0, e.cycle(), e.cycle() + dt, u64::MAX] {
+                        prop_assert_eq!(
+                            e.kernel_finish_lower_bound(now),
+                            reference_finish_bound(&e, now),
+                            "step {} now {}", step, now
+                        );
+                    }
+                    e.run_for(dt);
+                }
+                for sm in 0..n {
+                    e.assign_sm(sm, Some(launched[sm % launched.len()]));
+                }
+                e.run_for(50_000_000);
+                let now = e.cycle();
+                prop_assert_eq!(e.kernel_finish_lower_bound(now), reference_finish_bound(&e, now));
+            }
+        }
     }
 }

@@ -43,6 +43,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod block;
+mod calendar;
 pub mod config;
 pub mod engine;
 pub mod events;

@@ -56,6 +56,18 @@ pub struct SmOutput {
     pub issued_insts: u32,
 }
 
+impl SmOutput {
+    /// Whether the tick produced anything besides issued instructions: a
+    /// block completion, an effect, a switched-out context or a finished
+    /// preemption. Most ticks produce none of these.
+    pub(crate) fn has_interactions(&self) -> bool {
+        !self.completed.is_empty()
+            || !self.effects.is_empty()
+            || !self.switched_out.is_empty()
+            || self.preempt_done.is_some()
+    }
+}
+
 /// Engine-supplied bounds under which [`Sm::tick_bounded`] may take its
 /// batched-issue fast path.
 ///

@@ -1,8 +1,8 @@
 //! Differential determinism tests for the engine's execution modes.
 //!
 //! The engine runs in one of three modes (see `gpu_sim::ExecMode` and
-//! `PARALLELISM.md`): the legacy linear min-scan reference, the binary-heap
-//! event calendar, and the sharded parallel engine that advances SM shards
+//! `PARALLELISM.md`): the legacy linear min-scan reference, the
+//! tournament-tree event calendar, and the sharded parallel engine that advances SM shards
 //! on worker threads between epoch barriers. These tests drive a
 //! preemption-heavy multiprogrammed scenario through all three and demand
 //! *byte-identical* observable behaviour: the event stream, the final
@@ -130,18 +130,18 @@ fn run_scenario(mode: ExecMode) -> (Vec<Event>, String, String) {
 
 #[test]
 fn heap_and_scan_schedulers_are_equivalent() {
-    let (ev_heap, stats_heap, trace_heap) = run_scenario(ExecMode::Event);
+    let (ev_event, stats_event, trace_event) = run_scenario(ExecMode::Event);
     let (ev_scan, stats_scan, trace_scan) = run_scenario(ExecMode::Scan);
     assert!(
-        !ev_heap.is_empty(),
+        !ev_event.is_empty(),
         "scenario must produce events for the comparison to mean anything"
     );
-    assert_eq!(ev_heap, ev_scan, "event streams diverged");
-    assert_eq!(stats_heap, stats_scan, "final statistics diverged");
+    assert_eq!(ev_event, ev_scan, "event streams diverged");
+    assert_eq!(stats_event, stats_scan, "final statistics diverged");
     assert!(
-        trace_heap == trace_scan,
+        trace_event == trace_scan,
         "chrome traces diverged ({} vs {} bytes)",
-        trace_heap.len(),
+        trace_event.len(),
         trace_scan.len()
     );
 }
