@@ -2,7 +2,7 @@
 
 use crate::pool;
 use chimera::runner::cluster::Placement;
-use chimera::{EstimatorConfig, EstimatorMode, RunCommon};
+use chimera::{EstimatorConfig, RunCommon};
 
 /// Common knobs: `--scale <f64>` (shrinks horizons/budgets for quick runs),
 /// `--seed <u64>`, `--jobs <usize>` (worker threads for the experiment
@@ -16,7 +16,8 @@ use chimera::{EstimatorConfig, EstimatorMode, RunCommon};
 /// schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
-    /// Scale factor on horizons and budgets (1.0 = paper-shaped defaults).
+    /// Scale factor on horizons and budgets (1.0 = paper-shaped defaults;
+    /// accepted in `(0, 1000]`).
     pub scale: f64,
     /// Determinism seed.
     pub seed: u64,
@@ -55,7 +56,7 @@ pub struct RunArgs {
     /// tracking), with `--risk-quantile <q>` picking the online risk level.
     pub estimator: EstimatorConfig,
     /// Number of independent GPU devices behind the cluster front-end
-    /// (`--devices <n>`, serve/multiprog binaries). `1` (the default)
+    /// (`--devices <n>`, 1 to 64, serve/multiprog binaries). `1` (the default)
     /// keeps the single-device paper-shaped output byte-identical; higher
     /// values append multi-device STP/ANTT/imbalance tables.
     pub devices: usize,
@@ -82,14 +83,29 @@ impl Default for RunArgs {
     }
 }
 
+/// The usage line printed by `--help` and after a usage error.
+const USAGE: &str = "usage: [--scale <f>] [--seed <n>] [--jobs <n>] \
+                         [--par-shards <n>] [--trace <path>] [--events <path>] \
+                         [--sanitize] [--race-check] [--estimator static|online] \
+                         [--risk-quantile <q>] [--devices <n>] \
+                         [--placement rr|least-loaded|tenant]";
+
+/// Largest accepted `--scale`: 1000× the paper-shaped horizons already
+/// takes host-days, and anything larger only postpones a hang.
+const MAX_SCALE: f64 = 1_000.0;
+
+/// Largest accepted `--devices`: the cluster tables sweep every device
+/// count up to it, each device a full engine.
+const MAX_DEVICES: usize = 64;
+
 impl RunArgs {
-    /// Parse from `std::env::args()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// Parse from `std::env::args()`. On a usage error, print the message
+    /// and the usage line to stderr and exit with status 2.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
     /// The shared runner knobs these args select, with the paper-shaped
@@ -107,97 +123,105 @@ impl RunArgs {
     }
 
     /// Parse from an iterator (testable).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming the flag on an unknown flag, a
+    /// missing or malformed value, or a value out of range. `--jobs` and
+    /// `--par-shards` take any count: the pool runs at most one worker per
+    /// cell and the engine at most one shard per SM.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
-            match a.as_str() {
+            let flag = a.as_str();
+            match flag {
                 "--scale" => {
-                    let v = it.next().expect("--scale needs a value");
-                    out.scale = v.parse().expect("--scale must be a number");
-                    assert!(
-                        out.scale.is_finite() && out.scale > 0.0,
-                        "--scale must be a positive finite number"
-                    );
+                    out.scale = value(&mut it, flag, "a positive finite number")?;
+                    if !(out.scale > 0.0 && out.scale <= MAX_SCALE) {
+                        return Err(format!(
+                            "--scale must be a positive finite number at most {MAX_SCALE}, got {}",
+                            out.scale
+                        ));
+                    }
                 }
-                "--seed" => {
-                    let v = it.next().expect("--seed needs a value");
-                    out.seed = v.parse().expect("--seed must be an integer");
-                }
+                "--seed" => out.seed = value(&mut it, flag, "an unsigned 64-bit integer")?,
                 "--jobs" => {
-                    let v = it.next().expect("--jobs needs a value");
-                    out.jobs = v.parse().expect("--jobs must be a positive integer");
-                    assert!(out.jobs >= 1, "--jobs must be at least 1");
+                    out.jobs = value(&mut it, flag, "a positive integer")?;
+                    if out.jobs == 0 {
+                        return Err("--jobs must be at least 1".into());
+                    }
                 }
-                "--par-shards" => {
-                    let v = it.next().expect("--par-shards needs a value");
-                    out.par_shards = v
-                        .parse()
-                        .expect("--par-shards must be a non-negative integer");
-                }
-                "--trace" => {
-                    out.trace = Some(it.next().expect("--trace needs a path"));
-                }
-                "--events" => {
-                    out.events = Some(it.next().expect("--events needs a path"));
-                }
-                "--sanitize" => {
-                    out.sanitize = true;
-                }
-                "--race-check" => {
-                    out.race_check = true;
-                }
-                "--estimator" => {
-                    let v = it.next().expect("--estimator needs a value");
-                    out.estimator.mode = v
-                        .parse::<EstimatorMode>()
-                        .expect("--estimator must be `static` or `online`");
-                }
+                "--par-shards" => out.par_shards = value(&mut it, flag, "a non-negative integer")?,
+                "--trace" => out.trace = Some(value(&mut it, flag, "a path")?),
+                "--events" => out.events = Some(value(&mut it, flag, "a path")?),
+                "--sanitize" => out.sanitize = true,
+                "--race-check" => out.race_check = true,
+                "--estimator" => out.estimator.mode = value(&mut it, flag, "`static` or `online`")?,
                 "--risk-quantile" => {
-                    let v = it.next().expect("--risk-quantile needs a value");
-                    let q: f64 = v.parse().expect("--risk-quantile must be a number");
-                    assert!(q > 0.0 && q <= 1.0, "--risk-quantile must be in (0, 1]");
+                    let q: f64 = value(&mut it, flag, "a number")?;
+                    if !(q > 0.0 && q <= 1.0) {
+                        return Err(format!("--risk-quantile must be in (0, 1], got {q}"));
+                    }
                     out.estimator.risk_quantile = q;
                 }
                 "--devices" => {
-                    let v = it.next().expect("--devices needs a value");
-                    out.devices = v.parse().expect("--devices must be a positive integer");
-                    assert!(out.devices >= 1, "--devices must be at least 1");
+                    out.devices = value(&mut it, flag, "a positive integer")?;
+                    if !(1..=MAX_DEVICES).contains(&out.devices) {
+                        return Err(format!(
+                            "--devices must be at least 1 and at most {MAX_DEVICES}, got {}",
+                            out.devices
+                        ));
+                    }
                 }
                 "--placement" => {
-                    let v = it.next().expect("--placement needs a value");
-                    out.placement = Placement::parse(&v).unwrap_or_else(|| {
-                        panic!("--placement must be `rr`, `least-loaded` or `tenant`, got {v:?}")
-                    });
+                    let v: String = value(&mut it, flag, "a placement")?;
+                    out.placement = Placement::parse(&v).ok_or_else(|| {
+                        format!("--placement must be `rr`, `least-loaded` or `tenant`, got {v:?}")
+                    })?;
                 }
                 "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--scale <f>] [--seed <n>] [--jobs <n>] \
-                         [--par-shards <n>] [--trace <path>] [--events <path>] \
-                         [--sanitize] [--race-check] [--estimator static|online] \
-                         [--risk-quantile <q>] [--devices <n>] \
-                         [--placement rr|least-loaded|tenant]"
-                    );
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => panic!("unknown argument: {other}"),
+                other => return Err(format!("unknown argument: {other}")),
             }
         }
-        out
+        Ok(out)
     }
+}
+
+/// The value after `flag`, parsed; `what` names the expected form.
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs {what}"))?;
+    v.parse()
+        .map_err(|_| format!("{flag} must be {what}, got {v:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chimera::EstimatorMode;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    fn ok(v: &[&str]) -> RunArgs {
+        RunArgs::parse(s(v)).expect("valid arguments")
+    }
+
+    fn err(v: &[&str]) -> String {
+        RunArgs::parse(s(v)).expect_err("invalid arguments")
+    }
+
     #[test]
     fn defaults() {
-        let a = RunArgs::parse(s(&[]));
+        let a = ok(&[]);
         assert!((a.scale - 1.0).abs() < 1e-12);
         assert_eq!(a.seed, 42);
         assert!(a.jobs >= 1, "default jobs follows available parallelism");
@@ -206,42 +230,39 @@ mod tests {
 
     #[test]
     fn parses_scale_and_seed() {
-        let a = RunArgs::parse(s(&["--scale", "0.25", "--seed", "7"]));
+        let a = ok(&["--scale", "0.25", "--seed", "7"]);
         assert!((a.scale - 0.25).abs() < 1e-12);
         assert_eq!(a.seed, 7);
     }
 
     #[test]
     fn parses_jobs() {
-        let a = RunArgs::parse(s(&["--jobs", "8"]));
+        let a = ok(&["--jobs", "8"]);
         assert_eq!(a.jobs, 8);
-        let a = RunArgs::parse(s(&["--jobs", "1", "--scale", "0.5"]));
+        let a = ok(&["--jobs", "1", "--scale", "0.5"]);
         assert_eq!(a.jobs, 1);
     }
 
     #[test]
-    #[should_panic(expected = "--scale must be a positive finite number")]
     fn rejects_infinite_scale() {
-        RunArgs::parse(s(&["--scale", "inf"]));
+        assert!(err(&["--scale", "inf"]).contains("--scale must be a positive finite number"));
     }
 
     #[test]
-    #[should_panic(expected = "--scale must be a positive finite number")]
     fn rejects_nan_scale() {
-        RunArgs::parse(s(&["--scale", "NaN"]));
+        assert!(err(&["--scale", "NaN"]).contains("--scale must be a positive finite number"));
     }
 
     #[test]
-    #[should_panic(expected = "--jobs must be at least 1")]
     fn rejects_zero_jobs() {
-        RunArgs::parse(s(&["--jobs", "0"]));
+        assert!(err(&["--jobs", "0"]).contains("--jobs must be at least 1"));
     }
 
     #[test]
     fn parses_par_shards() {
-        let a = RunArgs::parse(s(&[]));
+        let a = ok(&[]);
         assert_eq!(a.par_shards, 0, "serial engine by default");
-        let a = RunArgs::parse(s(&["--par-shards", "4"]));
+        let a = ok(&["--par-shards", "4"]);
         assert_eq!(a.par_shards, 4);
         let c = a.common(1_000.0, 15.0);
         assert_eq!(c.par_shards, 4);
@@ -250,7 +271,7 @@ mod tests {
 
     #[test]
     fn observability_sinks_default_off() {
-        let a = RunArgs::parse(s(&[]));
+        let a = ok(&[]);
         assert_eq!(a.trace, None);
         assert_eq!(a.events, None);
         assert!(!a.sanitize);
@@ -258,16 +279,16 @@ mod tests {
 
     #[test]
     fn parses_sanitize_flag() {
-        let a = RunArgs::parse(s(&["--sanitize", "--scale", "0.1"]));
+        let a = ok(&["--sanitize", "--scale", "0.1"]);
         assert!(a.sanitize);
         assert!((a.scale - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn parses_race_check_flag_and_threads_it_through_common() {
-        let a = RunArgs::parse(s(&[]));
+        let a = ok(&[]);
         assert!(!a.race_check, "race sanitizer off by default");
-        let a = RunArgs::parse(s(&["--race-check", "--par-shards", "2"]));
+        let a = ok(&["--race-check", "--par-shards", "2"]);
         assert!(a.race_check);
         let c = a.common(1_000.0, 15.0);
         assert!(
@@ -279,13 +300,13 @@ mod tests {
     #[test]
     fn par_shards_zero_is_serial_and_oversized_counts_clamp() {
         // `--par-shards 0` (the default) keeps the serial event calendar.
-        let a = RunArgs::parse(s(&["--par-shards", "0"]));
+        let a = ok(&["--par-shards", "0"]);
         let c = a.common(1_000.0, 15.0);
         assert_eq!(c.exec_mode(), gpu_sim::ExecMode::Event);
         // A shard count above the SM count is accepted at the CLI and
         // clamped to one shard per SM by `Engine::set_exec_mode` — the
         // documented resolution, not an error.
-        let a = RunArgs::parse(s(&["--par-shards", "9999"]));
+        let a = ok(&["--par-shards", "9999"]);
         let mut e = gpu_sim::Engine::with_seed(gpu_sim::GpuConfig::tiny(), a.seed);
         let n = e.config().num_sms;
         e.set_exec_mode(a.common(1_000.0, 15.0).exec_mode());
@@ -294,33 +315,24 @@ mod tests {
 
     #[test]
     fn parses_trace_and_events_paths() {
-        let a = RunArgs::parse(s(&["--trace", "out.json", "--events", "ev.jsonl"]));
+        let a = ok(&["--trace", "out.json", "--events", "ev.jsonl"]);
         assert_eq!(a.trace.as_deref(), Some("out.json"));
         assert_eq!(a.events.as_deref(), Some("ev.jsonl"));
     }
 
     #[test]
-    #[should_panic(expected = "--trace needs a path")]
     fn trace_requires_a_path() {
-        RunArgs::parse(s(&["--trace"]));
+        assert!(err(&["--trace"]).contains("--trace needs a path"));
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
     fn rejects_unknown() {
-        RunArgs::parse(s(&["--wat"]));
+        assert!(err(&["--wat"]).contains("unknown argument"));
     }
 
     #[test]
     fn common_applies_scale_seed_and_estimator() {
-        let a = RunArgs::parse(s(&[
-            "--scale",
-            "0.5",
-            "--seed",
-            "9",
-            "--estimator",
-            "online",
-        ]));
+        let a = ok(&["--scale", "0.5", "--seed", "9", "--estimator", "online"]);
         let c = a.common(24_000.0, 15.0);
         assert!((c.horizon_us - 12_000.0).abs() < 1e-9);
         assert_eq!(c.seed, 9);
@@ -331,59 +343,102 @@ mod tests {
 
     #[test]
     fn estimator_defaults_to_static() {
-        let a = RunArgs::parse(s(&[]));
+        let a = ok(&[]);
         assert_eq!(a.estimator, EstimatorConfig::default());
         assert_eq!(a.estimator.mode, EstimatorMode::Static);
     }
 
     #[test]
     fn parses_estimator_and_risk_quantile() {
-        let a = RunArgs::parse(s(&["--estimator", "online", "--risk-quantile", "0.9"]));
+        let a = ok(&["--estimator", "online", "--risk-quantile", "0.9"]);
         assert_eq!(a.estimator.mode, EstimatorMode::Online);
         assert!((a.estimator.risk_quantile - 0.9).abs() < 1e-12);
-        let a = RunArgs::parse(s(&["--estimator", "static"]));
+        let a = ok(&["--estimator", "static"]);
         assert_eq!(a.estimator.mode, EstimatorMode::Static);
     }
 
     #[test]
-    #[should_panic(expected = "--estimator must be `static` or `online`")]
     fn rejects_unknown_estimator() {
-        RunArgs::parse(s(&["--estimator", "psychic"]));
+        assert!(
+            err(&["--estimator", "psychic"]).contains("--estimator must be `static` or `online`")
+        );
     }
 
     #[test]
-    #[should_panic(expected = "--risk-quantile must be in (0, 1]")]
     fn rejects_out_of_range_quantile() {
-        RunArgs::parse(s(&["--risk-quantile", "1.5"]));
+        assert!(err(&["--risk-quantile", "1.5"]).contains("--risk-quantile must be in (0, 1]"));
     }
 
     #[test]
     fn devices_default_to_single_gpu() {
-        let a = RunArgs::parse(s(&[]));
+        let a = ok(&[]);
         assert_eq!(a.devices, 1);
         assert_eq!(a.placement, Placement::RoundRobin);
     }
 
     #[test]
     fn parses_devices_and_placement() {
-        let a = RunArgs::parse(s(&["--devices", "4", "--placement", "least-loaded"]));
+        let a = ok(&["--devices", "4", "--placement", "least-loaded"]);
         assert_eq!(a.devices, 4);
         assert_eq!(a.placement, Placement::LeastLoaded);
-        let a = RunArgs::parse(s(&["--placement", "tenant"]));
+        let a = ok(&["--placement", "tenant"]);
         assert_eq!(a.placement, Placement::TenantAffine);
-        let a = RunArgs::parse(s(&["--placement", "rr"]));
+        let a = ok(&["--placement", "rr"]);
         assert_eq!(a.placement, Placement::RoundRobin);
     }
 
     #[test]
-    #[should_panic(expected = "--devices must be at least 1")]
     fn rejects_zero_devices() {
-        RunArgs::parse(s(&["--devices", "0"]));
+        assert!(err(&["--devices", "0"]).contains("--devices must be at least 1"));
     }
 
     #[test]
-    #[should_panic(expected = "--placement must be")]
     fn rejects_unknown_placement() {
-        RunArgs::parse(s(&["--placement", "psychic"]));
+        assert!(err(&["--placement", "psychic"]).contains("--placement must be"));
+    }
+
+    /// Every numeric flag at zero, negative, NaN, infinite and huge values
+    /// either parses to a documented setting (a zero seed, the serial
+    /// engine, a worker or shard count the pool and engine clamp) or is a
+    /// usage error naming the flag. Parse only: nothing runs.
+    #[test]
+    fn numeric_knob_sweep_never_panics() {
+        let flags = [
+            "--scale",
+            "--seed",
+            "--jobs",
+            "--par-shards",
+            "--risk-quantile",
+            "--devices",
+        ];
+        let values = [
+            "0",
+            "-1",
+            "nan",
+            "NaN",
+            "inf",
+            "-inf",
+            "1e300",
+            "4294967296",
+            "18446744073709551616",
+        ];
+        let accepted = [
+            ("--seed", "0"),
+            ("--seed", "4294967296"),
+            ("--par-shards", "0"),
+            ("--par-shards", "4294967296"),
+            ("--jobs", "4294967296"),
+        ];
+        for flag in flags {
+            for v in values {
+                match RunArgs::parse(s(&[flag, v])) {
+                    Ok(_) => assert!(accepted.contains(&(flag, v)), "{flag} {v} accepted"),
+                    Err(msg) => {
+                        assert!(!accepted.contains(&(flag, v)), "{flag} {v}: {msg}");
+                        assert!(msg.starts_with(flag), "{flag} {v}: {msg}");
+                    }
+                }
+            }
+        }
     }
 }

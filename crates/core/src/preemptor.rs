@@ -3,14 +3,15 @@
 //!
 //! When a kernel needs SMs, the [`Preemptor`] orders the candidates, chooses
 //! switch, drain or flush per block under the configured [`Policy`], and
-//! tracks the SMs until they are free. The periodic runner, the
-//! multiprogrammed runner and [`GpuScheduler`](crate::GpuScheduler) each keep
-//! only their own rule for *who* needs SMs (reservations, ownership moves)
-//! and hand the *how* to one `Preemptor`, so decision recording, the live
-//! drain-accuracy join and the in-flight ledger behave identically across
-//! all of them.
+//! tracks the SMs until they are free. Its two callers, the periodic runner
+//! and [`GpuScheduler`](crate::GpuScheduler) (which also runs the
+//! multiprogrammed pairs and serving), each keep only their own rule for
+//! *who* needs SMs (reservations, ownership moves) and hand the *how* to
+//! one `Preemptor`, so decision recording, estimator-update logging, the
+//! live drain-accuracy join and the in-flight ledger behave identically
+//! across all of them.
 
-use crate::cost::{EstimatorConfig, ObsBank};
+use crate::cost::{EstimatorConfig, EstimatorMode, ObsBank};
 use crate::obs::{DrainSample, DrainTracker};
 use crate::policy::Policy;
 use crate::runner::periodic_name;
@@ -66,6 +67,7 @@ impl Preemptor {
         self.obs.estimator()
     }
 
+    #[cfg(test)]
     pub(crate) fn obs(&self) -> &ObsBank {
         &self.obs
     }
@@ -236,7 +238,11 @@ impl Preemptor {
     /// Feed one engine event: block completions update the per-kernel
     /// observations and the drain join; a completed preemption of a ledger
     /// SM returns `(sm, tag)`, now vacated.
-    pub(crate) fn on_event(&mut self, engine: &Engine, ev: &Event) -> Option<(usize, usize)> {
+    ///
+    /// With the online estimator, a completion also surfaces the kernel's
+    /// live estimator state to the event log at the moment its quantile
+    /// becomes trusted (`min_samples`) and every 256 completions after.
+    pub(crate) fn on_event(&mut self, engine: &mut Engine, ev: &Event) -> Option<(usize, usize)> {
         match *ev {
             Event::TbCompleted {
                 kernel,
@@ -250,6 +256,20 @@ impl Preemptor {
                 self.obs.record_tb(name, insts, cycles);
                 self.drains
                     .note_completion(name, sm, kernel.0, block, cycle);
+                let est = self.obs.estimator();
+                if est.mode == EstimatorMode::Online {
+                    let n = self.obs.samples(name);
+                    if n == est.min_samples || n.is_multiple_of(256) {
+                        let o = self.obs.obs(name);
+                        engine.record_estimator_update(
+                            kernel,
+                            n,
+                            o.avg_tb_insts.unwrap_or(0.0).round() as u64,
+                            o.quantile_tb_insts.unwrap_or(0.0).round() as u64,
+                            est.risk_pct(),
+                        );
+                    }
+                }
                 None
             }
             Event::PreemptionCompleted { sm, .. } => match self.ledger.get(&sm) {
@@ -337,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn multiprog_style_call_logs_every_executed_chimera_decision() {
+    fn scheduler_style_call_logs_every_executed_chimera_decision() {
         let (mut e, k) = busy_engine(
             vec![Segment::load(4), Segment::compute(4_000), Segment::store(4)],
             256,
@@ -350,8 +370,8 @@ mod tests {
             "every SM busy: {resident:?}"
         );
         let mut pre = Preemptor::new(Policy::chimera_us(30.0), EstimatorConfig::default());
-        // The multiprog runner's call: every SM of the source job, flush
-        // allowed, tagged with the source job.
+        // The kernel scheduler's call: every SM of the source process,
+        // flush allowed, tagged with the source process.
         let cands = pre.candidates(&e, |_| true);
         let mut taken = Vec::new();
         pre.preempt(&mut e, &cands, 2, Some(k), true, 0, |_, sm, _| {

@@ -1,7 +1,8 @@
 //! Pairwise multiprogrammed workloads with spatial partitioning (§4.4), plus
 //! the non-preemptive FCFS baseline.
 //!
-//! Two benchmarks share the GPU. The SM partitioning policy is the paper's
+//! Two benchmarks share the GPU as two processes of one
+//! [`GpuScheduler`]. The SM partitioning policy is the paper's
 //! Smart-Even/Rounds mix: SMs are split evenly except when a kernel is
 //! *size-bound* (its remaining blocks cannot fill its share). Every kernel
 //! launch/finish changes demand and triggers a repartition, which generates
@@ -9,10 +10,10 @@
 //! is what makes these workloads preemption-heavy.
 
 use crate::cost::EstimatorConfig;
-use crate::partition::{demand, PartitionPolicy};
+use crate::partition::PartitionPolicy;
 use crate::policy::Policy;
-use crate::preemptor::{InFlight, Preemptor};
 use crate::runner::{Job, RunCommon};
+use crate::scheduler::{GpuScheduler, ProcId, SchedEvent};
 use gpu_sim::{Engine, Event, GpuConfig};
 use workloads::Benchmark;
 
@@ -25,7 +26,8 @@ use workloads::Benchmark;
 #[derive(Debug, Clone)]
 pub struct MultiprogConfig {
     /// Knobs shared with every other runner. (`common.sanitize` is accepted
-    /// for uniformity but multiprog runs do not flush-sanitize today.)
+    /// for uniformity but multiprog runs do not flush-sanitize today:
+    /// [`GpuScheduler`] has no flush-sanitizer setting.)
     pub common: RunCommon,
     /// Measurement budget per benchmark, useful warp instructions
     /// (the paper's 1-billion-instruction cap, scaled).
@@ -110,7 +112,10 @@ pub struct PairOutcome {
     pub preemptions: usize,
 }
 
-/// Run two benchmarks concurrently under `policy`.
+/// Run two benchmarks concurrently under `policy`: a two-process
+/// [`GpuScheduler`] stepped on a 10 µs tick, each process submitting its
+/// benchmark's launches in order with wrap-around. A job is measured at the
+/// end of its first full pass or when it reaches the instruction budget.
 pub fn run_pair(
     cfg: &GpuConfig,
     a: &Benchmark,
@@ -118,125 +123,59 @@ pub fn run_pair(
     policy: Policy,
     mcfg: &MultiprogConfig,
 ) -> PairOutcome {
-    let mut engine = Engine::with_seed(cfg.clone(), mcfg.common.seed);
-    engine.set_exec_mode(mcfg.common.exec_mode());
-    engine.set_break_on_kernel_finish(true);
-    if mcfg.common.race_check {
-        engine.enable_race_sanitizer();
+    let mut gpu = GpuScheduler::builder(cfg.clone())
+        .policy(policy)
+        .partition(mcfg.partition.clone())
+        .estimator(mcfg.common.estimator)
+        .seed(mcfg.common.seed)
+        .exec_mode(mcfg.common.exec_mode())
+        .race_check(mcfg.common.race_check)
+        .build();
+    let benches = [a, b];
+    for bench in benches {
+        let p = gpu.add_process();
+        gpu.submit(p, bench.launches()[0].clone());
     }
-    if policy.is_oracle() {
-        engine.set_free_context_moves(true);
-    }
-    let mut jobs = [
-        Job::new(a.clone(), Some(mcfg.budget_insts)),
-        Job::new(b.clone(), Some(mcfg.budget_insts)),
-    ];
-    // Flush waits are tagged with the job whose kernel keeps the SM busy.
-    let mut pre = Preemptor::new(policy, mcfg.common.estimator);
-    // Initial even ownership.
-    let half = cfg.num_sms / 2;
-    let mut owner: Vec<usize> = (0..cfg.num_sms).map(|sm| usize::from(sm >= half)).collect();
-    for j in jobs.iter_mut() {
-        j.ensure_running(&mut engine);
-    }
+    // Per job: the next launch to submit, kernels finished, measurement.
+    let mut next = [1usize; 2];
+    let mut finished = [0usize; 2];
+    let mut measured: [Option<u64>; 2] = [None; 2];
     let horizon = cfg.us_to_cycles(mcfg.common.horizon_us);
     let tick = cfg.us_to_cycles(10.0);
-    let poll = cfg.us_to_cycles(0.5).max(1);
-
-    while engine.cycle() < horizon {
-        let step = if pre.flush_waiting() { poll } else { tick };
-        let events = engine.run_until(engine.cycle() + step);
-        for ev in &events {
-            pre.on_event(&engine, ev);
-        }
-        pre.poll_flush_waits(&mut engine, |_, _, _| {});
-        // Advance launches.
-        for j in jobs.iter_mut() {
-            j.ensure_running(&mut engine);
-        }
-        // Repartition on demand.
-        rebalance(&mut engine, cfg, &jobs, &mut owner, &mut pre, mcfg);
-        // Assignment pass.
-        for sm in 0..cfg.num_sms {
-            match pre.in_flight(sm) {
-                Some((InFlight::Preempting, _)) => {}
-                Some((InFlight::FlushWait, src)) => {
-                    let k = jobs[src].current();
-                    if engine.sm_assigned(sm) != k && !engine.sm_is_preempting(sm) {
-                        engine.assign_sm(sm, k);
-                    }
+    while gpu.cycle() < horizon {
+        for ev in gpu.step_until(gpu.cycle() + tick) {
+            match ev {
+                // Keep the next launch queued behind the running one.
+                SchedEvent::KernelStarted { proc, .. } => {
+                    let launches = benches[proc.0].launches();
+                    gpu.submit(proc, launches[next[proc.0] % launches.len()].clone());
+                    next[proc.0] += 1;
                 }
-                None => {
-                    if !engine.sm_is_preempting(sm) {
-                        let k = jobs[owner[sm]].current();
-                        if engine.sm_assigned(sm) != k {
-                            engine.assign_sm(sm, k);
-                        }
-                    }
-                }
+                SchedEvent::KernelFinished { proc, .. } => finished[proc.0] += 1,
+                SchedEvent::SmReassigned { .. } => {}
             }
         }
-        let done0 = jobs[0].check_measured(&engine);
-        let done1 = jobs[1].check_measured(&engine);
-        if done0 && done1 {
+        for (j, bench) in benches.iter().enumerate() {
+            if measured[j].is_none()
+                && (finished[j] >= bench.launches().len()
+                    || gpu.useful_insts(ProcId(j)) >= mcfg.budget_insts)
+            {
+                measured[j] = Some(gpu.cycle());
+            }
+        }
+        if measured.iter().all(Option::is_some) {
             break;
         }
     }
-    let preemptions = engine.preempt_records().len();
-    let out = |j: &Job, engine: &Engine| JobOutcome {
-        name: j.name().to_string(),
-        t_multi: j.measured_at(),
-        insts: j.useful_insts(engine),
-    };
-    super::assert_race_clean(&engine, "run_pair");
+    super::assert_race_clean(gpu.engine(), "run_pair");
     PairOutcome {
-        jobs: [out(&jobs[0], &engine), out(&jobs[1], &engine)],
-        preemptions,
+        jobs: [0, 1].map(|j| JobOutcome {
+            name: benches[j].name().to_string(),
+            t_multi: measured[j],
+            insts: gpu.useful_insts(ProcId(j)),
+        }),
+        preemptions: gpu.engine().preempt_records().len(),
     }
-}
-
-fn rebalance(
-    engine: &mut Engine,
-    cfg: &GpuConfig,
-    jobs: &[Job; 2],
-    owner: &mut [usize],
-    pre: &mut Preemptor,
-    mcfg: &MultiprogConfig,
-) {
-    let total = cfg.num_sms;
-    let d = [
-        demand(engine, jobs[0].current()),
-        demand(engine, jobs[1].current()),
-    ];
-    let desired = mcfg.partition.shares(total, &d);
-    let counts = [
-        owner.iter().filter(|&&o| o == 0).count(),
-        owner.iter().filter(|&&o| o == 1).count(),
-    ];
-    // Move SMs from the over-provisioned job to the under-provisioned one.
-    let (src, dst) = if counts[0] > desired[0] && counts[1] < desired[1] {
-        (0usize, 1usize)
-    } else if counts[1] > desired[1] && counts[0] < desired[0] {
-        (1, 0)
-    } else {
-        return;
-    };
-    let n = (counts[src] - desired[src]).min(desired[dst] - counts[dst]);
-    if n == 0 {
-        return;
-    }
-    let cands = pre.candidates(engine, |sm| owner[sm] == src);
-    pre.preempt(
-        engine,
-        &cands,
-        n,
-        jobs[src].current(),
-        true,
-        src,
-        |_, sm, _| {
-            owner[sm] = dst;
-        },
-    );
 }
 
 /// Run two benchmarks under non-preemptive FCFS: every kernel launch waits

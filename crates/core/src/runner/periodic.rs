@@ -12,7 +12,7 @@
 //! SMs are reserved for the task's execution window even when the request was
 //! late — the benchmark never pockets bonus SM-time from violations.
 
-use crate::cost::{EstimatorConfig, EstimatorMode};
+use crate::cost::EstimatorConfig;
 use crate::obs::DrainSample;
 use crate::policy::Policy;
 use crate::preemptor::{InFlight, Preemptor, Taken};
@@ -324,38 +324,16 @@ pub fn run_periodic_traced(
         let events = engine.run_until(t_next);
         let now = engine.cycle();
         for ev in events {
-            if let Some((sm, req_idx)) = pre.on_event(&engine, &ev) {
+            if let Some((sm, req_idx)) = pre.on_event(&mut engine, &ev) {
                 acquire(&mut engine, &mut st, pcfg, cfg, req_idx, sm, now, exec);
             }
-            match ev {
-                Event::TbCompleted { kernel, .. }
-                    if pcfg.common.estimator.mode == EstimatorMode::Online =>
-                {
-                    // Periodically surface the live estimator state to the
-                    // observability event log: at the moment the quantile
-                    // becomes trusted and every 256 completions after.
-                    let name = base_kernel_name(&engine.kernel_stats(kernel).name);
-                    let n = pre.obs().samples(name);
-                    if n == pcfg.common.estimator.min_samples || n.is_multiple_of(256) {
-                        let o = pre.obs().obs(name);
-                        engine.record_estimator_update(
-                            kernel,
-                            n,
-                            o.avg_tb_insts.unwrap_or(0.0).round() as u64,
-                            o.quantile_tb_insts.unwrap_or(0.0).round() as u64,
-                            pcfg.common.estimator.risk_pct(),
-                        );
+            // A finished task kernel returns its SMs to the benchmark.
+            if let Event::KernelFinished { kernel } = ev {
+                if let Some(sms) = st.task_sms.remove(&kernel) {
+                    for sm in sms {
+                        st.reserved.remove(&sm);
                     }
                 }
-                Event::KernelFinished { kernel } => {
-                    // A finished task kernel returns its SMs to the benchmark.
-                    if let Some(sms) = st.task_sms.remove(&kernel) {
-                        for sm in sms {
-                            st.reserved.remove(&sm);
-                        }
-                    }
-                }
-                _ => {}
             }
         }
         // Flush policy: reset SMs the moment every resident block is safe.
@@ -446,8 +424,6 @@ pub fn run_periodic_traced(
     super::assert_race_clean(&engine, "run_periodic");
     (result, engine)
 }
-
-use super::periodic_name as base_kernel_name;
 
 #[allow(clippy::too_many_arguments)]
 fn acquire(

@@ -10,7 +10,29 @@
 //! This is the "what a downstream user would adopt" API: build a scheduler
 //! ([`GpuScheduler::builder`]), register processes, submit kernels, and
 //! drive time forward; multitasking, spatial partitioning and collaborative
-//! preemption happen inside.
+//! preemption happen inside. It is the only kernel scheduler in the crate:
+//! the serving runners and the multiprogrammed pair runner
+//! ([`run_pair`](crate::runner::multiprog::run_pair)) all drive one.
+//!
+//! The kernel scheduler keeps four rules:
+//! 1. **The first pass splits evenly.** The first scheduling pass that has
+//!    processes gives SM `sm` to process `((sm + 1) * P - 1) / num_sms`: a
+//!    contiguous even split, with the remainder on the later processes
+//!    (for two processes, `sm >= num_sms / 2` on every SM count).
+//! 2. **A surplus moves in one request.** When the partition policy's
+//!    shares differ from ownership, `n = min(surplus, deficit)` SMs move
+//!    from the first over-provisioned to the first under-provisioned
+//!    process in one preemption request over all of the source's
+//!    candidates: idle SMs first, then the occupied ones the policy picks.
+//!    Under Chimera, Algorithm 1 ranks every candidate by overhead and
+//!    takes the cheapest that meet the latency limit (§3.3).
+//! 3. **A flush-waiting SM follows its process.** Until the flush lands it
+//!    keeps running its source process's current kernel; an SM being
+//!    preempted is left to the engine.
+//! 4. **The caller owns the cadence.** One step advances the engine (at
+//!    most 0.5 µs while a flush waits) and runs one scheduling pass;
+//!    [`GpuScheduler::run_for_us`] steps every 5 µs, the pair runner every
+//!    10 µs.
 //!
 //! ```
 //! use chimera::scheduler::GpuScheduler;
@@ -42,7 +64,7 @@ use crate::cost::EstimatorConfig;
 use crate::obs::DrainSample;
 use crate::partition::{demand, PartitionPolicy};
 use crate::policy::Policy;
-use crate::preemptor::Preemptor;
+use crate::preemptor::{InFlight, Preemptor};
 use gpu_sim::{Engine, Event, ExecMode, GpuConfig, KernelId, ShedReason};
 use std::collections::VecDeque;
 
@@ -361,42 +383,53 @@ impl GpuScheduler {
             .sum()
     }
 
-    /// Advance simulated time by `us` microseconds, scheduling as needed.
+    /// Advance simulated time by `us` microseconds, scheduling as needed:
+    /// a loop of [`step_until`](Self::step_until) on a 5 µs tick.
     pub fn run_for_us(&mut self, us: f64) -> Vec<SchedEvent> {
-        let cfg = self.engine.config().clone();
+        let cfg = self.engine.config();
         let target = self.engine.cycle() + cfg.us_to_cycles(us);
         let tick = cfg.us_to_cycles(5.0).max(1);
+        let mut events = Vec::new();
         while self.engine.cycle() < target {
-            let step = if self.pre.flush_waiting() {
-                cfg.us_to_cycles(0.5).max(1)
-            } else {
-                tick
-            };
-            let until = (self.engine.cycle() + step).min(target);
-            let events = self.engine.run_until(until);
-            for ev in events {
-                self.pre.on_event(&self.engine, &ev);
-                let Event::KernelFinished { kernel } = ev else {
-                    continue;
-                };
-                if let Some(pi) = self.procs.iter().position(|p| p.current == Some(kernel)) {
-                    self.procs[pi].current = None;
-                    self.procs[pi].completed += 1;
-                    self.events.push(SchedEvent::KernelFinished {
-                        proc: ProcId(pi),
-                        kernel,
-                    });
-                }
-            }
-            self.schedule();
+            let until = (self.engine.cycle() + tick).min(target);
+            events.append(&mut self.step_until(until));
         }
+        events
+    }
+
+    /// One scheduling step: advance the engine to `until` (at most 0.5 µs
+    /// while a flush waits, so the wait is polled promptly), then run one
+    /// kernel-scheduler pass. Returns the step's scheduler events. The
+    /// caller owns the cadence: [`run_for_us`](Self::run_for_us) steps every
+    /// 5 µs, the pair runner every 10 µs.
+    pub(crate) fn step_until(&mut self, until: u64) -> Vec<SchedEvent> {
+        let until = if self.pre.flush_waiting() {
+            let poll = self.engine.config().us_to_cycles(0.5).max(1);
+            until.min(self.engine.cycle() + poll)
+        } else {
+            until
+        };
+        for ev in self.engine.run_until(until) {
+            self.pre.on_event(&mut self.engine, &ev);
+            let Event::KernelFinished { kernel } = ev else {
+                continue;
+            };
+            if let Some(pi) = self.procs.iter().position(|p| p.current == Some(kernel)) {
+                self.procs[pi].current = None;
+                self.procs[pi].completed += 1;
+                self.events.push(SchedEvent::KernelFinished {
+                    proc: ProcId(pi),
+                    kernel,
+                });
+            }
+        }
+        self.schedule();
         std::mem::take(&mut self.events)
     }
 
-    /// One kernel-scheduler pass: launch queued kernels, repartition, serve
-    /// preemptions, and keep SM assignments consistent with ownership.
+    /// One kernel-scheduler pass: launch queued kernels, serve flush waits,
+    /// repartition, and keep SM assignments consistent with ownership.
     fn schedule(&mut self) {
-        // Launch next kernels.
         for pi in 0..self.procs.len() {
             if self.procs[pi].current.is_none() {
                 if let Some(desc) = self.procs[pi].queue.pop_front() {
@@ -415,76 +448,74 @@ impl GpuScheduler {
         }
         self.pre.poll_flush_waits(&mut self.engine, |_, _, _| {});
         self.repartition();
-        // Assignment pass.
-        let n_sms = self.engine.config().num_sms;
-        for sm in 0..n_sms {
-            if self.pre.in_flight(sm).is_some() || self.engine.sm_is_preempting(sm) {
-                continue;
-            }
-            let want = self.owner[sm].and_then(|pi| self.procs[pi].current);
-            if self.engine.sm_assigned(sm) != want {
+        // Assignment pass. A flush-waiting SM keeps running its source
+        // process's kernel until the flush lands; a preempting one is left
+        // to the engine.
+        for sm in 0..self.owner.len() {
+            let want = match self.pre.in_flight(sm) {
+                Some((InFlight::Preempting, _)) => continue,
+                Some((InFlight::FlushWait, src)) => self.procs[src].current,
+                None => self.owner[sm].and_then(|pi| self.procs[pi].current),
+            };
+            if !self.engine.sm_is_preempting(sm) && self.engine.sm_assigned(sm) != want {
                 self.engine.assign_sm(sm, want);
             }
         }
     }
 
+    /// Bring ownership towards the partition policy's shares. The first
+    /// pass splits the SMs contiguously and evenly across the processes;
+    /// after that each surplus moves to a deficit in one preemption request.
     fn repartition(&mut self) {
         let n_procs = self.procs.len();
-        let n_sms = self.engine.config().num_sms;
+        let n_sms = self.owner.len();
+        if self.owner.iter().any(Option::is_none) {
+            for (sm, owner) in self.owner.iter_mut().enumerate() {
+                let pi = ((sm + 1) * n_procs - 1) / n_sms;
+                *owner = Some(pi);
+                self.events
+                    .push(SchedEvent::SmReassigned { sm, to: ProcId(pi) });
+            }
+        }
         let demands: Vec<usize> = self
             .procs
             .iter()
             .map(|p| demand(&self.engine, p.current))
             .collect();
-        if demands.iter().all(|&d| d == 0) {
-            return;
-        }
         let desired = self.partition.shares(n_sms, &demands);
         let mut counts = vec![0usize; n_procs];
-        for &o in &self.owner {
-            if let Some(pi) = o {
-                counts[pi] += 1;
-            }
+        for &pi in self.owner.iter().flatten() {
+            counts[pi] += 1;
         }
-        // Unowned SMs go to whoever is short.
-        for sm in 0..n_sms {
-            if self.owner[sm].is_none() {
-                if let Some(pi) = (0..n_procs).find(|&pi| counts[pi] < desired[pi]) {
-                    self.owner[sm] = Some(pi);
-                    counts[pi] += 1;
-                    self.events
-                        .push(SchedEvent::SmReassigned { sm, to: ProcId(pi) });
-                }
-            }
-        }
-        // Move SMs from over- to under-provisioned processes.
         while let (Some(dst), Some(src)) = (
             (0..n_procs).find(|&pi| counts[pi] < desired[pi]),
             (0..n_procs).find(|&pi| counts[pi] > desired[pi]),
         ) {
-            let moved = self.take_one_sm(src, dst);
-            if moved == 0 {
-                break;
-            }
+            let n = (counts[src] - desired[src]).min(desired[dst] - counts[dst]);
+            let moved = self.move_sms(src, dst, n);
             counts[src] -= moved;
             counts[dst] += moved;
+            if moved < n {
+                break;
+            }
         }
     }
 
-    /// Move one SM from `src` to `dst`, preempting if necessary. Returns how
-    /// many SMs changed owner (0 when nothing was movable right now).
-    fn take_one_sm(&mut self, src: usize, dst: usize) -> usize {
+    /// Move up to `n` SMs from `src` to `dst` in one preemption request:
+    /// idle SMs first, then the occupied ones the policy picks (Chimera
+    /// ranks every candidate with Algorithm 1). Returns how many SMs
+    /// changed owner.
+    fn move_sms(&mut self, src: usize, dst: usize, n: usize) -> usize {
         let owner = &mut self.owner;
         let cands = self
             .pre
             .candidates(&self.engine, |sm| owner[sm] == Some(src));
-        let Some(first) = cands.first() else { return 0 };
         let events = &mut self.events;
         let mut moved = 0;
         self.pre.preempt(
             &mut self.engine,
-            std::slice::from_ref(first),
-            1,
+            &cands,
+            n,
             self.procs[src].current,
             true,
             src,
@@ -504,6 +535,7 @@ impl GpuScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::{select_preemptions, SelectionRequest};
     use gpu_sim::{KernelDesc, Program, Segment};
 
     fn kernel(name: &str, grid: u32, insts: u32) -> KernelDesc {
@@ -644,5 +676,102 @@ mod tests {
         drive_until_idle(&mut gpu, 50);
         assert!(gpu.is_idle());
         assert_eq!(gpu.completed_kernels(p), 1);
+    }
+
+    #[test]
+    fn chimera_moves_the_sms_algorithm_1_ranks_cheapest() {
+        let mut gpu = GpuScheduler::builder(GpuConfig::fermi())
+            .policy(Policy::chimera_us(30.0))
+            .build();
+        let p1 = gpu.add_process();
+        let p2 = gpu.add_process();
+        let hog = KernelDesc::builder("hog")
+            .grid_blocks(4_000)
+            .threads_per_block(128)
+            .regs_per_thread(16)
+            .program(Program::new(vec![
+                Segment::load(4),
+                Segment::compute(2_000),
+                Segment::store(4),
+            ]))
+            .jitter_pct(0.4)
+            .build()
+            .unwrap();
+        gpu.submit(p1, hog.clone());
+        gpu.run_for_us(300.0);
+        assert!(gpu.owner.iter().all(|&o| o == Some(p1.0)));
+        // Rank p1's SMs the way one request for p2's half must.
+        let kid = gpu.procs[p1.0].current.expect("hog still runs");
+        let cands = gpu.pre.candidates(&gpu.engine, |_| true);
+        assert!(cands.iter().all(|&sm| gpu.engine.sm_resident_count(sm) > 0));
+        let desc = gpu.engine.kernel_desc(kid);
+        let req = SelectionRequest {
+            limit_cycles: gpu.engine.config().us_to_cycles(30.0),
+            num_preempts: 15,
+            ctx_bytes_per_tb: desc.block_context_bytes(),
+            obs: gpu.pre.obs().obs(desc.name()),
+            flush_allowed: true,
+            estimator: gpu.estimator(),
+        };
+        let snaps: Vec<_> = cands.iter().map(|&sm| gpu.engine.sm_snapshot(sm)).collect();
+        let mut want: Vec<usize> = select_preemptions(gpu.engine.config(), &req, &snaps)
+            .iter()
+            .map(|p| p.sm)
+            .collect();
+        want.sort_unstable();
+        let mut fewest_blocks_first = cands[..15].to_vec();
+        fewest_blocks_first.sort_unstable();
+        assert_ne!(want, fewest_blocks_first, "the ranking must matter here");
+        // One scheduling pass launches p2's kernel and moves the SMs.
+        gpu.submit(p2, hog.with_name("newcomer"));
+        gpu.schedule();
+        let mut moved: Vec<usize> = std::mem::take(&mut gpu.events)
+            .into_iter()
+            .filter_map(|e| match e {
+                SchedEvent::SmReassigned { sm, to } if to == p2 => Some(sm),
+                _ => None,
+            })
+            .collect();
+        moved.sort_unstable();
+        assert_eq!(moved, want);
+    }
+
+    #[test]
+    fn two_processes_split_odd_sm_counts_at_the_middle() {
+        let n = 15;
+        let mut gpu = GpuScheduler::builder(GpuConfig {
+            num_sms: n,
+            ..GpuConfig::fermi()
+        })
+        .partition(PartitionPolicy::Even)
+        .build();
+        let p1 = gpu.add_process();
+        let p2 = gpu.add_process();
+        gpu.submit(p1, kernel("a", 4_000, 2_000));
+        gpu.submit(p2, kernel("b", 4_000, 2_000));
+        gpu.run_for_us(5.0);
+        let want: Vec<Option<usize>> = (0..n).map(|sm| Some(usize::from(sm >= n / 2))).collect();
+        assert_eq!(gpu.owner, want);
+    }
+
+    #[test]
+    fn online_estimator_updates_reach_the_event_log() {
+        let count_updates = |estimator: EstimatorConfig| {
+            let mut gpu = GpuScheduler::builder(GpuConfig::fermi())
+                .estimator(estimator)
+                .event_log(1 << 18)
+                .build();
+            let p1 = gpu.add_process();
+            let p2 = gpu.add_process();
+            gpu.submit(p1, kernel("a", 600, 400));
+            gpu.submit(p2, kernel("b", 600, 400));
+            drive_until_idle(&mut gpu, 100);
+            let log = gpu.engine().event_log().expect("log enabled");
+            log.iter()
+                .filter(|e| e.kind() == "estimator_update")
+                .count()
+        };
+        assert!(count_updates(EstimatorConfig::online(0.9)) > 0);
+        assert_eq!(count_updates(EstimatorConfig::default()), 0);
     }
 }

@@ -71,22 +71,44 @@ pub struct TbSnapshot {
 /// Deterministic in `(seed, index)` so results do not depend on scheduling
 /// order. Every block of a kernel uses one scale factor for all segments.
 pub fn scaled_segments(desc: &KernelDesc, seed: u64, index: u32) -> Vec<u32> {
-    let segs = desc.program().segments();
+    let factor = jitter_factor(desc, seed, index);
+    desc.program()
+        .segments()
+        .iter()
+        .map(|s| scaled_len(s, factor))
+        .collect()
+}
+
+/// The per-warp instruction total of block `index` of `desc`: the sum of
+/// [`scaled_segments`] without building the vector.
+pub fn scaled_block_total(desc: &KernelDesc, seed: u64, index: u32) -> u64 {
+    let factor = jitter_factor(desc, seed, index);
+    desc.program()
+        .segments()
+        .iter()
+        .map(|s| u64::from(scaled_len(s, factor)))
+        .sum()
+}
+
+/// Block `index`'s length scale: `1 ± jitter`, drawn from `(seed, index)`.
+fn jitter_factor(desc: &KernelDesc, seed: u64, index: u32) -> f64 {
     let jitter = desc.jitter_pct();
-    let factor = if jitter == 0.0 {
+    if jitter == 0.0 {
         1.0
     } else {
         let u = unit_f64(hash_combine(&[seed, u64::from(index), 0xB10C]));
         1.0 + jitter * (2.0 * u - 1.0)
-    };
-    segs.iter()
-        .map(|s| match s {
-            Segment::Barrier => 0,
-            Segment::ProtectStore => 1,
-            // simlint: allow(as-narrowing) -- saturating float cast of a u32 count scaled by at most 2x jitter
-            _ => ((f64::from(s.insts()) * factor).round() as u32).max(1),
-        })
-        .collect()
+    }
+}
+
+/// One segment's instruction count under `factor`.
+fn scaled_len(s: &Segment, factor: f64) -> u32 {
+    match s {
+        Segment::Barrier => 0,
+        Segment::ProtectStore => 1,
+        // simlint: allow(as-narrowing) -- saturating float cast of a u32 count scaled by at most 2x jitter
+        _ => ((f64::from(s.insts()) * factor).round() as u32).max(1),
+    }
 }
 
 impl BlockRun {
@@ -282,6 +304,37 @@ mod tests {
                 "segment 0 jitter out of range: {}",
                 s[0]
             );
+        }
+    }
+
+    #[test]
+    fn block_total_is_the_sum_of_the_scaled_segments() {
+        let d = |jitter: f64| {
+            KernelDesc::builder("t")
+                .grid_blocks(4)
+                .threads_per_block(64)
+                .program(Program::new(vec![
+                    Segment::compute(97),
+                    Segment::Barrier,
+                    Segment::load(13),
+                    Segment::ProtectStore,
+                    Segment::store(1),
+                ]))
+                .jitter_pct(jitter)
+                .build()
+                .unwrap()
+        };
+        for i in 0..200u64 {
+            let jitter = unit_f64(hash_combine(&[i, 1]));
+            let seed = hash_combine(&[i, 2]);
+            // simlint: allow(as-narrowing) -- keeps the low 32 bits of a hash as a block index
+            let index = hash_combine(&[i, 3]) as u32;
+            let k = d(jitter);
+            let sum: u64 = scaled_segments(&k, seed, index)
+                .iter()
+                .map(|&n| u64::from(n))
+                .sum();
+            assert_eq!(scaled_block_total(&k, seed, index), sum, "case {i}");
         }
     }
 

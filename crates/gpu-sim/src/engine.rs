@@ -250,10 +250,7 @@ impl KernelInstance {
         };
         let min_block_total = (0..desc.grid_blocks())
             .map(|i| {
-                crate::block::scaled_segments(&desc, seed, i)
-                    .iter()
-                    .map(|&n| u64::from(n))
-                    .sum::<u64>()
+                crate::block::scaled_block_total(&desc, seed, i)
                     .saturating_mul(u64::from(desc.warps_per_block()))
             })
             .min()
