@@ -384,7 +384,7 @@ impl GpuScheduler {
     }
 
     /// Advance simulated time by `us` microseconds, scheduling as needed:
-    /// a loop of [`step_until`](Self::step_until) on a 5 µs tick.
+    /// a loop of the crate-private `step_until` on a 5 µs tick.
     pub fn run_for_us(&mut self, us: f64) -> Vec<SchedEvent> {
         let cfg = self.engine.config();
         let target = self.engine.cycle() + cfg.us_to_cycles(us);

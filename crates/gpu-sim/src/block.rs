@@ -52,6 +52,14 @@ pub struct BlockRun {
     pub past_idem_point: bool,
     /// Cycle before which the block's warps may not issue (context-load stall).
     pub warm_up_until: u64,
+    /// Warps parked at the barrier, and warps done: the SM's per-tick
+    /// barrier-release check and its block-completion check read these
+    /// counts instead of every warp.
+    parked: u32,
+    done: u32,
+    /// `hash_combine(&[engine seed, kernel, index])`: the block's prefix of
+    /// every memory-address hash, set by the SM it is dispatched to.
+    pub(crate) addr_key: u64,
 }
 
 /// A saved block context produced by a context switch.
@@ -101,6 +109,15 @@ fn jitter_factor(desc: &KernelDesc, seed: u64, index: u32) -> f64 {
     }
 }
 
+/// `(parked at the barrier, done)` among `warps`.
+fn phase_counts(warps: &[Warp]) -> (u32, u32) {
+    warps.iter().fold((0, 0), |(p, d), w| match w.phase {
+        WarpPhase::AtBarrier => (p + 1, d),
+        WarpPhase::Done => (p, d + 1),
+        _ => (p, d),
+    })
+}
+
 /// One segment's instruction count under `factor`.
 fn scaled_len(s: &Segment, factor: f64) -> u32 {
     match s {
@@ -126,6 +143,9 @@ impl BlockRun {
             insts_this_residency: 0,
             past_idem_point: false,
             warm_up_until: now,
+            parked: 0,
+            done: 0,
+            addr_key: 0,
         }
     }
 
@@ -144,7 +164,8 @@ impl BlockRun {
                 }
                 w
             })
-            .collect();
+            .collect::<Vec<Warp>>();
+        let (parked, done) = phase_counts(&warps);
         BlockRun {
             id: snap.id,
             scaled_segs: snap.scaled_segs,
@@ -155,6 +176,9 @@ impl BlockRun {
             insts_this_residency: 0,
             past_idem_point: snap.past_idem_point,
             warm_up_until: ready_at,
+            parked,
+            done,
+            addr_key: 0,
         }
     }
 
@@ -181,12 +205,23 @@ impl BlockRun {
     }
 
     /// The earliest cycle at which warp `w` could issue, counting the
-    /// block's context-load stall (`None` at a barrier or when done).
+    /// block's context-load stall; `u64::MAX` at a barrier or when done.
+    /// This is the SM's `ready_at` slot-table entry.
     #[inline]
-    pub(crate) fn warp_ready_at(&self, w: usize) -> Option<u64> {
+    pub(crate) fn ready_at(&self, w: usize) -> u64 {
         self.warps[w]
             .next_ready_at()
-            .map(|t| t.max(self.warm_up_until))
+            .map_or(u64::MAX, |t| t.max(self.warm_up_until))
+    }
+
+    /// Instructions left in warp `w`'s steady segment (see
+    /// [`Warp::steady_compute_rem`]), `0` when its next issue is not
+    /// steady. This is the SM's `steady_rem` slot-table entry.
+    #[inline]
+    pub(crate) fn steady_rem(&self, w: usize, segments: &[Segment]) -> u32 {
+        self.warps[w]
+            .steady_compute_rem(segments, &self.scaled_segs)
+            .unwrap_or(0)
     }
 
     /// Book `insts` steady instructions for warp `w` (the batched issue:
@@ -198,6 +233,37 @@ impl BlockRun {
         warp.phase = WarpPhase::Ready;
         warp.done_in_seg += insts;
         self.add_insts(insts);
+    }
+
+    /// Store warp `w`'s state after a committed single-chunk issue,
+    /// counting a barrier arrival or a finished warp.
+    #[inline]
+    pub(crate) fn commit_warp(&mut self, w: usize, warp: Warp) {
+        match warp.phase {
+            WarpPhase::AtBarrier => self.parked += 1,
+            WarpPhase::Done => self.done += 1,
+            _ => {}
+        }
+        self.warps[w] = warp;
+    }
+
+    /// Warps parked at the barrier.
+    #[inline]
+    pub(crate) fn parked(&self) -> u32 {
+        self.parked
+    }
+
+    /// Whether every warp but one has finished, so that one finishing
+    /// completes the block.
+    #[inline]
+    pub(crate) fn one_warp_left(&self) -> bool {
+        self.done as usize + 1 == self.warps.len()
+    }
+
+    /// Whether the phase counts equal a recount of the warps (the SM's
+    /// table oracle).
+    pub(crate) fn phase_counts_are_exact(&self) -> bool {
+        phase_counts(&self.warps) == (self.parked, self.done)
     }
 
     /// The block's warps.
@@ -231,17 +297,11 @@ impl BlockRun {
         self.warps.iter().all(|w| w.phase == WarpPhase::Done)
     }
 
-    /// Whether every unfinished warp is parked at the barrier (release time).
+    /// Whether every unfinished warp is parked at the barrier (release
+    /// time), read from the block's phase counts.
+    #[inline]
     pub fn barrier_ready(&self) -> bool {
-        let mut any = false;
-        for w in &self.warps {
-            match w.phase {
-                WarpPhase::AtBarrier => any = true,
-                WarpPhase::Done => {}
-                _ => return false,
-            }
-        }
-        any
+        self.parked > 0 && (self.parked + self.done) as usize == self.warps.len()
     }
 
     /// Release all warps parked at the barrier.
@@ -251,6 +311,7 @@ impl BlockRun {
                 w.release_barrier();
             }
         }
+        self.parked = 0;
     }
 }
 
@@ -378,20 +439,19 @@ mod tests {
         let mut b = BlockRun::new(bid(0), &d, 1, 0);
         let segs = d.program().segments().to_vec();
         let scaled = b.scaled_segs().to_vec();
-        // Drive warp 0 to the barrier.
-        loop {
-            let o = b.warps_mut()[0].issue(&segs, &scaled, 32);
+        // Drive warp `w` to the barrier, committing each issue as the SM
+        // does.
+        let park = |b: &mut BlockRun, w: usize| loop {
+            let mut warp = b.warps()[w];
+            let o = warp.issue(&segs, &scaled, 32);
+            b.commit_warp(w, warp);
             if o.hit_barrier {
                 break;
             }
-        }
+        };
+        park(&mut b, 0);
         assert!(!b.barrier_ready(), "warp 1 still running");
-        loop {
-            let o = b.warps_mut()[1].issue(&segs, &scaled, 32);
-            if o.hit_barrier {
-                break;
-            }
-        }
+        park(&mut b, 1);
         assert!(b.barrier_ready());
         b.release_barrier();
         assert!(b.warps().iter().all(|w| w.is_ready(0)));

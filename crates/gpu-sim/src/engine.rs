@@ -59,7 +59,7 @@ use crate::mem::MemSubsystem;
 use crate::preempt::SmPreemptPlan;
 use crate::rng::{hash_combine, splitmix64};
 use crate::sm::{Effect, PreemptError, Sm, SmMode, SmOutput, SmSnapshot, TickLimits};
-use crate::stats::{GpuStats, KernelStats, PreemptRecord};
+use crate::stats::{GpuStats, KernelStats, PreemptRecord, WorkCounters};
 use crate::GpuConfig;
 
 /// Identifies a launched kernel instance.
@@ -393,6 +393,10 @@ pub struct Engine {
     /// The serial loop's tick output, reused across ticks so its vectors
     /// keep their capacity; empty between ticks.
     tick_out: SmOutput,
+    /// Ticks run by the serial event loop (see [`WorkCounters`]).
+    serial_ticks: u64,
+    /// Dispatch sweeps run (see [`WorkCounters`]).
+    dispatch_sweeps: u64,
     cycle: u64,
     seed: u64,
     prefer_preempted: bool,
@@ -436,7 +440,7 @@ impl Engine {
     /// Create an engine with an explicit determinism seed.
     pub fn with_seed(cfg: GpuConfig, seed: u64) -> Self {
         let sms = (0..cfg.num_sms)
-            .map(|i| Sm::new(i, &cfg))
+            .map(|i| Sm::new(i, &cfg, seed))
             .collect::<Vec<_>>();
         let n = sms.len();
         Engine {
@@ -450,6 +454,8 @@ impl Engine {
             kernels: Vec::new(),
             live_kernels: Vec::new(),
             tick_out: SmOutput::default(),
+            serial_ticks: 0,
+            dispatch_sweeps: 0,
             cycle: 0,
             seed,
             prefer_preempted: true,
@@ -836,6 +842,7 @@ impl Engine {
     /// and never moves the clock.
     fn sweep_if_dirty(&mut self) {
         if std::mem::take(&mut self.dispatch_dirty) {
+            self.dispatch_sweeps += 1;
             self.dispatch_all();
         }
     }
@@ -964,6 +971,23 @@ impl Engine {
             total_issued_insts: self.sms.iter().map(Sm::insts_issued_total).sum(),
             mem_bytes_served: self.mem.total_bytes_served(),
         }
+    }
+
+    /// The engine's work counters so far: the serial loop's tick and
+    /// dispatch-sweep counts, and the SMs' idle and batched ticks, summed.
+    pub fn work_counters(&self) -> WorkCounters {
+        let mut c = WorkCounters {
+            serial_ticks: self.serial_ticks,
+            dispatch_sweeps: self.dispatch_sweeps,
+            ..WorkCounters::default()
+        };
+        for sm in &self.sms {
+            let w = sm.work();
+            c.idle_ticks += w.idle_ticks;
+            c.batched_ticks += w.batched_ticks;
+            c.batched_insts += w.batched_insts;
+        }
+        c
     }
 
     /// Per-memory-partition counters as of the current cycle, in partition
@@ -1161,12 +1185,12 @@ impl Engine {
                 may_gain_blocks: self
                     .may_gain_blocks(&self.sms[idx], || self.sms.iter().any(Sm::is_preempting)),
             };
+            self.serial_ticks += 1;
             let next = self.sms[idx]
                 .tick_bounded(
                     self.cycle,
                     resident.map(|k| &self.kernels[k.0].desc),
                     Some(&mut self.mem),
-                    self.seed,
                     &mut self.tick_out,
                     &limits,
                 )
@@ -1291,13 +1315,12 @@ impl Engine {
             .iter()
             .map(|s| s.resident_kernel().map(|k| &self.kernels[k.0].desc))
             .collect();
-        let seed = self.seed;
         let worker =
             |sms: &mut [Sm], jobs: &[Option<u64>], descs: &[Option<&KernelDesc>], base: usize| {
                 let mut out = Vec::new();
                 for (off, sm) in sms.iter_mut().enumerate() {
                     if let Some(start) = jobs[off] {
-                        let (next, issued) = sm.advance_pure(start, bound, descs[off], seed);
+                        let (next, issued) = sm.advance_pure(start, bound, descs[off]);
                         out.push((base + off, next, issued));
                     }
                 }
@@ -1566,7 +1589,7 @@ impl Engine {
                     break;
                 };
                 self.kernels[kid.0].outstanding += 1;
-                self.sms[i].dispatch(block);
+                self.sms[i].dispatch(block, &self.kernels[kid.0].desc);
                 dispatched = true;
             }
             if dispatched {
@@ -1895,6 +1918,57 @@ mod tests {
                 "flushed block {r} should restart first"
             );
         }
+    }
+
+    /// The work counters of one fixed tiny scenario, pinned: a change
+    /// that makes the engine do more (or less) work for the same
+    /// simulation shows up here on any host. The scan reference never
+    /// batches and sweeps before every step.
+    #[test]
+    fn work_counters_are_pinned_on_a_tiny_scenario() {
+        let run = |mode: ExecMode| {
+            let mut e = Engine::with_seed(cfg(), 7);
+            e.set_exec_mode(mode);
+            let k = e.launch_kernel(
+                KernelDesc::builder("w")
+                    .grid_blocks(6)
+                    .threads_per_block(96)
+                    .regs_per_thread(16)
+                    .program(Program::new(vec![
+                        Segment::load(6),
+                        Segment::compute(400),
+                        Segment::Barrier,
+                        Segment::compute(90),
+                        Segment::store(2),
+                    ]))
+                    .build()
+                    .unwrap(),
+            );
+            assign_all(&mut e, k);
+            e.run_until(50_000_000);
+            assert!(e.kernel_stats(k).finished);
+            let issued = e.gpu_stats().total_issued_insts;
+            (e.work_counters(), issued)
+        };
+        let (event, issued) = run(ExecMode::Event);
+        assert_eq!(
+            (event, issued),
+            (
+                WorkCounters {
+                    serial_ticks: 105,
+                    idle_ticks: 1,
+                    dispatch_sweeps: 7,
+                    batched_ticks: 9,
+                    batched_insts: 8600,
+                },
+                8964
+            )
+        );
+        let (scan, scan_issued) = run(ExecMode::Scan);
+        assert_eq!(scan_issued, issued);
+        assert_eq!((scan.batched_ticks, scan.batched_insts), (0, 0));
+        // One sweep per loop iteration; the last iteration ends the run.
+        assert_eq!(scan.dispatch_sweeps, scan.serial_ticks + 1);
     }
 
     #[test]

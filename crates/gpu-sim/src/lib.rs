@@ -70,4 +70,4 @@ pub use preempt::{PreemptOutcome, SmPreemptPlan, Technique};
 pub use race::{RaceReport, RaceSanitizer, RaceViolation, SharedResource, TestSharedCell};
 pub use sanitizer::{FlushSanitizer, SanitizerReport, UnsafeWrite};
 pub use sm::{PreemptError, Sm, SmMode, SmSnapshot, TbSnapshotInfo, TickLimits};
-pub use stats::{GpuStats, KernelStats};
+pub use stats::{GpuStats, KernelStats, WorkCounters};

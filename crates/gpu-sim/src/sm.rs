@@ -3,17 +3,49 @@
 //! An SM holds up to `occupancy` resident thread blocks and drives their warps
 //! through a single issue pipeline: one warp-instruction chunk occupies the
 //! pipeline for `chunk × 32/simt_width` cycles. Warps are selected loose
-//! round-robin across all resident blocks. The SM also implements the
-//! *mechanics* of the three preemption techniques — halting for a context
-//! save, draining, and instant flush — while the decision logic lives in the
-//! `chimera` crate.
+//! round-robin (or greedy-then-oldest) across all resident blocks. The SM
+//! also implements the *mechanics* of the three preemption techniques —
+//! halting for a context save, draining, and instant flush — while the
+//! decision logic lives in the `chimera` crate.
+//!
+//! # Slot tables
+//!
+//! Every resident warp is a *slot*, numbered block-major: slot
+//! `s = b · wpb + w` is warp `w` of the `b`-th resident block (all resident
+//! blocks belong to one kernel, so warps-per-block `wpb` is uniform). Two
+//! flat per-slot tables mirror the warp state the tick's hot loops read, so
+//! warp selection and the batched issue scan contiguous arrays instead of
+//! walking every block's warps:
+//!
+//! - `ready_at[s]`: `BlockRun::ready_at`, the earliest cycle the warp could
+//!   issue, counting its block's context-load stall, and `u64::MAX` at a
+//!   barrier or when done;
+//! - `steady_rem[s]`: `BlockRun::steady_rem`, the instructions left in a
+//!   steady compute/shared segment, and `0` when the next issue is not
+//!   steady.
+//!
+//! They are written only where warp state changes, and nowhere else:
+//!
+//! - a committed single-chunk issue (the issuing slot, after any memory
+//!   stall), or a block completion, which drains that block's range;
+//! - the barrier release that opens every unhalted tick (the released
+//!   block's range);
+//! - a committed batch (each slot it issued from);
+//! - [`Sm::dispatch`], which appends the block's range;
+//! - the flush in [`Sm::begin_preempt`] and the switch-out at the end of a
+//!   context save, which compact the tables with the blocks they keep.
+//!
+//! A tick that reports an interaction without the memory subsystem (see
+//! [`Sm::tick_bounded`]) writes neither table, except through the barrier
+//! release it keeps. With debug assertions on, every tick checks at entry
+//! and exit that both tables, the per-block parked/done warp counts and
+//! the SM's parked-warp total equal a recomputation from the blocks.
 
 use crate::block::{BlockRun, TbSnapshot};
 use crate::kernel::{KernelDesc, Segment};
 use crate::mem::MemSubsystem;
 use crate::preempt::{SmPreemptPlan, Technique};
-use crate::rng::hash_combine;
-use crate::warp::WarpPhase;
+use crate::rng::{hash_combine, splitmix64};
 use crate::{BlockId, GpuConfig, KernelId};
 
 /// Coarse operating mode of an SM (for reporting).
@@ -131,6 +163,17 @@ pub struct SmSnapshot {
     pub blocks: Vec<TbSnapshotInfo>,
 }
 
+/// An SM's share of the engine's [`WorkCounters`](crate::WorkCounters).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SmWork {
+    /// Committed ticks that found no ready warp.
+    pub(crate) idle_ticks: u64,
+    /// Committed batched ticks.
+    pub(crate) batched_ticks: u64,
+    /// Warp instructions issued by those batched ticks.
+    pub(crate) batched_insts: u64,
+}
+
 #[derive(Debug)]
 struct ActivePreemption {
     started: u64,
@@ -156,7 +199,28 @@ pub struct Sm {
     l1_latency: u64,
     l1_hits: u64,
     l1_misses: u64,
+    /// The engine's determinism seed: the root of every memory-address
+    /// hash (each block caches its prefix at dispatch).
+    seed: u64,
     blocks: Vec<BlockRun>,
+    /// The resident blocks' kernel (`blocks[0]`'s), kept beside them: the
+    /// engine reads it on every tick.
+    kernel: Option<KernelId>,
+    /// Warps per resident block, the stride of the slot tables: slot
+    /// `s = b · wpb + w` is warp `w` of `blocks[b]`.
+    wpb: usize,
+    /// Per slot: [`BlockRun::ready_at`], the earliest cycle the warp could
+    /// issue (`u64::MAX` at a barrier or when done).
+    ready_at: Vec<u64>,
+    /// Per slot: [`BlockRun::steady_rem`], the instructions left in a
+    /// steady compute/shared segment (`0` when the next issue is not
+    /// steady).
+    steady_rem: Vec<u32>,
+    /// Warps parked at a barrier, over all resident blocks: while zero,
+    /// the tick skips the barrier-release check.
+    parked: u32,
+    /// Work counters: engine operations, not simulated state.
+    work: SmWork,
     assigned: Option<KernelId>,
     preempt: Option<ActivePreemption>,
     insts_issued_total: u64,
@@ -216,8 +280,9 @@ impl std::fmt::Display for PreemptError {
 impl std::error::Error for PreemptError {}
 
 impl Sm {
-    /// Create SM `id` with the issue parameters of `cfg`.
-    pub fn new(id: usize, cfg: &GpuConfig) -> Self {
+    /// Create SM `id` with the issue parameters of `cfg`; `seed` is the
+    /// engine's determinism seed, which roots the memory-address hashes.
+    pub fn new(id: usize, cfg: &GpuConfig, seed: u64) -> Self {
         Sm {
             id,
             issue_interval: cfg.issue_interval(),
@@ -231,7 +296,14 @@ impl Sm {
             l1_latency: cfg.l1_latency_cycles,
             l1_hits: 0,
             l1_misses: 0,
+            seed,
             blocks: Vec::new(),
+            kernel: None,
+            wpb: 0,
+            ready_at: Vec::new(),
+            steady_rem: Vec::new(),
+            parked: 0,
+            work: SmWork::default(),
             assigned: None,
             preempt: None,
             insts_issued_total: 0,
@@ -279,7 +351,7 @@ impl Sm {
 
     /// Kernel owning the currently resident blocks, if any.
     pub fn resident_kernel(&self) -> Option<KernelId> {
-        self.blocks.first().map(|b| b.id.kernel)
+        self.kernel
     }
 
     /// Number of resident blocks.
@@ -321,17 +393,132 @@ impl Sm {
         self.insts_issued_total
     }
 
-    /// Place a block onto the SM.
+    /// This SM's work counters. Pure ticks of a parallel epoch's Phase A
+    /// count too.
+    pub(crate) fn work(&self) -> SmWork {
+        self.work
+    }
+
+    /// Place a block of kernel `desc` onto the SM, appending its warps to
+    /// the slot tables.
     ///
     /// # Panics
     ///
     /// Panics if the block belongs to a different kernel than the resident
     /// ones (current GPUs only co-locate blocks of one kernel per SM).
-    pub fn dispatch(&mut self, block: BlockRun) {
-        if let Some(k) = self.resident_kernel() {
-            assert_eq!(k, block.id.kernel, "mixed kernels on one SM");
+    pub fn dispatch(&mut self, mut block: BlockRun, desc: &KernelDesc) {
+        match self.kernel {
+            Some(k) => assert_eq!(k, block.id.kernel, "mixed kernels on one SM"),
+            None => {
+                self.kernel = Some(block.id.kernel);
+                self.wpb = block.warps().len();
+            }
         }
+        debug_assert_eq!(block.warps().len(), self.wpb, "uniform warps per block");
+        block.addr_key = hash_combine(&[
+            self.seed,
+            block.id.kernel.0 as u64,
+            u64::from(block.id.index),
+        ]);
+        let segments = desc.program().segments();
+        for w in 0..self.wpb {
+            self.ready_at.push(block.ready_at(w));
+            self.steady_rem.push(block.steady_rem(w, segments));
+        }
+        self.parked += block.parked();
         self.blocks.push(block);
+    }
+
+    /// Keep the resident blocks for which `keep` returns `true`, in order,
+    /// and compact the slot tables (and the parked count) to match.
+    fn retain_blocks(&mut self, mut keep: impl FnMut(&BlockRun) -> bool) {
+        let wpb = self.wpb;
+        let (mut b, mut kept) = (0, 0);
+        self.blocks.retain(|blk| {
+            let k = keep(blk);
+            if !k {
+                self.parked -= blk.parked();
+            } else {
+                if kept != b {
+                    self.ready_at
+                        .copy_within(b * wpb..(b + 1) * wpb, kept * wpb);
+                    self.steady_rem
+                        .copy_within(b * wpb..(b + 1) * wpb, kept * wpb);
+                }
+                kept += 1;
+            }
+            b += 1;
+            k
+        });
+        self.ready_at.truncate(kept * wpb);
+        self.steady_rem.truncate(kept * wpb);
+        if kept == 0 {
+            self.kernel = None;
+        }
+    }
+
+    /// Recompute the table entries of warp `w` of block `b` from the warp.
+    #[inline]
+    fn refresh_slot(&mut self, b: usize, w: usize, segments: &[Segment]) {
+        let (blk, s) = (&self.blocks[b], b * self.wpb + w);
+        self.ready_at[s] = blk.ready_at(w);
+        self.steady_rem[s] = blk.steady_rem(w, segments);
+    }
+
+    /// The first piece of derived state that disagrees with a
+    /// recomputation from the blocks, described; `None` when all of it is
+    /// exact: both slot tables, the cursor's range, the resident kernel,
+    /// the SM's parked-warp total and every block's parked/done counts.
+    /// `desc` supplies the program for `steady_rem`, which is checked only
+    /// when it is given.
+    pub(crate) fn table_drift(&self, desc: Option<&KernelDesc>) -> Option<String> {
+        if self.kernel != self.blocks.first().map(|b| b.id.kernel) {
+            return Some(format!("resident kernel {:?}", self.kernel));
+        }
+        let n = self.blocks.len() * self.wpb;
+        if self.ready_at.len() != n || self.steady_rem.len() != n {
+            return Some(format!(
+                "{} blocks of {} warps, tables of {} and {} slots",
+                self.blocks.len(),
+                self.wpb,
+                self.ready_at.len(),
+                self.steady_rem.len()
+            ));
+        }
+        if n > 0 && self.rr >= n {
+            return Some(format!("cursor {} past {n} slots", self.rr));
+        }
+        let parked: u32 = self.blocks.iter().map(BlockRun::parked).sum();
+        if parked != self.parked {
+            return Some(format!("{} parked warps, counted {parked}", self.parked));
+        }
+        for (b, blk) in self.blocks.iter().enumerate() {
+            if blk.warps().len() != self.wpb {
+                return Some(format!("block {b} has {} warps", blk.warps().len()));
+            }
+            if !blk.phase_counts_are_exact() {
+                return Some(format!("block {b}: parked or done count"));
+            }
+            for w in 0..self.wpb {
+                let s = b * self.wpb + w;
+                if self.ready_at[s] != blk.ready_at(w) {
+                    return Some(format!(
+                        "slot {s}: ready_at {} != {}",
+                        self.ready_at[s],
+                        blk.ready_at(w)
+                    ));
+                }
+                let Some(d) = desc else { continue };
+                let rem = blk.steady_rem(w, d.program().segments());
+                if self.steady_rem[s] != rem {
+                    return Some(format!(
+                        "slot {s}: steady_rem {} != {rem}",
+                        self.steady_rem[s]
+                    ));
+                }
+            }
+        }
+        None
     }
 
     /// Halt the SM (no issue) until `until` — used for context loads.
@@ -406,7 +593,7 @@ impl Sm {
         // the past-idempotence verdict for the sanitizer's differential
         // check (a dirty flush while `false` here is a static-analysis miss).
         let mut flushed = Vec::new();
-        self.blocks.retain(|b| {
+        self.retain_blocks(|b| {
             if plan.technique_for(b.id.index) == Some(Technique::Flush) {
                 flushed.push((b.id, b.issued_insts(), b.past_idem_point));
                 false
@@ -458,16 +645,20 @@ impl Sm {
         now: u64,
         desc: Option<&KernelDesc>,
         mem: &mut MemSubsystem,
-        seed: u64,
         out: &mut SmOutput,
     ) -> u64 {
-        self.tick_bounded(now, desc, Some(mem), seed, out, &TickLimits::none(now))
+        self.tick_bounded(now, desc, Some(mem), out, &TickLimits::none(now))
             .expect("a tick with the memory subsystem always commits")
     }
 
     /// The SM tick — the one body every engine mode runs: [`Sm::tick`] with
     /// a batched-issue fast path bounded by `limits`, and the single place
     /// that decides whether a tick stays inside the SM.
+    ///
+    /// Warp selection and the batch read the SM's flat slot tables
+    /// (`ready_at`, `steady_rem`; see the module docs) instead of the
+    /// blocks' warps. With debug assertions on, every tick checks at entry
+    /// and exit that both tables equal a recomputation from the blocks.
     ///
     /// When the selected warp (and, for round-robin, every currently runnable
     /// warp) sits mid-way through a side-effect-free compute/shared segment,
@@ -484,17 +675,32 @@ impl Sm {
     /// touch state outside the SM — an L1 miss (every protect store misses),
     /// a store, atomic or recorded-load effect, the completion of a block,
     /// or the end of a context save — returns `None` and leaves the SM as
-    /// it found it, scheduler cursor included, so the serial replay of that
-    /// tick starts exactly where the serial engine would. The one change an
-    /// interaction tick keeps is the barrier release that opens every
-    /// unhalted tick: it is block-local and idempotent, and the replay
-    /// performs it first anyway.
+    /// it found it, scheduler cursor, slot tables and counters included, so
+    /// the serial replay of that tick starts exactly where the serial engine
+    /// would. The one change an interaction tick keeps is the barrier
+    /// release that opens every unhalted tick (with its slot-table refresh):
+    /// it is block-local and idempotent, and the replay performs it first
+    /// anyway.
     pub fn tick_bounded(
         &mut self,
         now: u64,
         desc: Option<&KernelDesc>,
         mem: Option<&mut MemSubsystem>,
-        seed: u64,
+        out: &mut SmOutput,
+        limits: &TickLimits,
+    ) -> Option<u64> {
+        debug_assert_eq!(self.table_drift(desc), None, "slot tables at tick entry");
+        let next = self.tick_body(now, desc, mem, out, limits);
+        debug_assert_eq!(self.table_drift(desc), None, "slot tables after a tick");
+        next
+    }
+
+    #[inline(always)]
+    fn tick_body(
+        &mut self,
+        now: u64,
+        desc: Option<&KernelDesc>,
+        mem: Option<&mut MemSubsystem>,
         out: &mut SmOutput,
         limits: &TickLimits,
     ) -> Option<u64> {
@@ -509,7 +715,7 @@ impl Sm {
                 // interaction: without the memory subsystem, stop here.
                 mem.as_ref()?;
                 let set = std::mem::take(&mut ap.switch_set);
-                self.blocks.retain(|b| {
+                self.retain_blocks(|b| {
                     if set.contains(&b.id.index) {
                         out.switched_out.push(b.snapshot(now));
                         false
@@ -530,70 +736,69 @@ impl Sm {
         if now < self.halted_until {
             return Some(self.halted_until);
         }
-        // Release barriers.
-        for b in &mut self.blocks {
-            if b.barrier_ready() {
-                b.release_barrier();
+        let desc = desc.expect("resident blocks require a kernel descriptor");
+        let segments = desc.program().segments();
+        let wpb = self.wpb;
+        // Release barriers, if any warp waits at one.
+        if self.parked > 0 {
+            for b in 0..self.blocks.len() {
+                let blk = &mut self.blocks[b];
+                if blk.barrier_ready() {
+                    self.parked -= blk.parked();
+                    blk.release_barrier();
+                    for w in 0..wpb {
+                        self.refresh_slot(b, w, segments);
+                    }
+                }
             }
         }
         if now < self.issue_free_at {
             return Some(self.issue_free_at);
         }
-        let desc = desc.expect("resident blocks require a kernel descriptor");
-        // Warp selection across (block, warp) slots. All resident blocks
-        // belong to one kernel, so warps-per-block is uniform. Greedy-then-
-        // oldest sticks with the last warp while it stays ready and falls
-        // back to the oldest (lowest-slot) ready warp; round-robin continues
-        // from the cursor. `slot` is the cursor move, made only once the
-        // tick is known to commit.
-        let (nb, wpb) = (self.blocks.len(), self.blocks[0].warps().len());
+        // Warp selection over the slot table. Greedy-then-oldest sticks
+        // with the last slot while it stays ready and falls back to the
+        // oldest (lowest) ready slot; round-robin continues from the
+        // cursor. `cursor` is the cursor move, made only once the tick is
+        // known to commit.
+        let n = self.ready_at.len();
         let gto = self.sched == crate::config::WarpSched::GreedyThenOldest;
-        let sticky = self.last_slot.filter(|&s| {
-            gto && s < nb * wpb
-                && self.blocks[s / wpb]
-                    .warp_ready_at(s % wpb)
-                    .is_some_and(|t| t <= now)
-        });
-        let (bi, wi, slot) = match sticky {
-            Some(s) => (s / wpb, s % wpb, None),
+        let sticky = self
+            .last_slot
+            .filter(|&s| gto && s < n && self.ready_at[s] <= now);
+        let (s, cursor) = match sticky {
+            Some(s) => (s, None),
             None => {
-                let start = if gto { 0 } else { self.rr % (nb * wpb) };
-                let mut earliest = u64::MAX;
-                let found = walk_slots(start, nb, wpb, |b, w| {
-                    match self.blocks[b].warp_ready_at(w) {
-                        Some(t) if t <= now => true,
-                        Some(t) => {
-                            earliest = earliest.min(t);
-                            false
-                        }
-                        None => false,
-                    }
-                });
-                // Nothing ready: barriers may have become releasable above,
-                // in which case warps are Ready and we would have found them.
-                let Some((b, w)) = found else {
-                    return Some(earliest);
+                let start = if gto { 0 } else { self.rr };
+                let ready = |t: &u64| *t <= now;
+                let found = match self.ready_at[start..].iter().position(ready) {
+                    Some(i) => Some(start + i),
+                    None => self.ready_at[..start].iter().position(ready),
                 };
-                (b, w, Some(b * wpb + w))
+                // Nothing ready: barriers may have become releasable above,
+                // in which case warps are Ready and we would have found
+                // them. Every entry is a future wake-up or `u64::MAX`.
+                let Some(s) = found else {
+                    self.work.idle_ticks += 1;
+                    return Some(self.ready_at.iter().copied().min().unwrap_or(u64::MAX));
+                };
+                (s, Some(s))
             }
         };
         // A steady compute window is pure by construction, so it commits
-        // with or without the memory subsystem.
-        let segments = desc.program().segments();
-        if let Some(next) = self.try_issue_batch(now, bi, wi, slot, segments, limits, out) {
-            return Some(next);
+        // with or without the memory subsystem. Only a steady chosen warp
+        // can start one.
+        if self.steady_rem[s] > 0 {
+            if let Some(next) = self.try_issue_batch(now, s, cursor, limits, out) {
+                return Some(next);
+            }
         }
         // Probe the issue on a copy of the warp; nothing is committed until
         // the tick is classified.
+        let (bi, wi) = (s / wpb, s % wpb);
         let block = &self.blocks[bi];
         let mut warp = block.warps()[wi];
         let outcome = warp.issue(segments, block.scaled_segs(), self.issue_chunk);
-        let block_done = outcome.done
-            && block
-                .warps()
-                .iter()
-                .enumerate()
-                .all(|(j, w)| j == wi || w.phase == WarpPhase::Done);
+        let block_done = outcome.done && block.one_warp_left();
         let effect = outcome.completed_segment.filter(|&ix| {
             matches!(
                 segments[ix],
@@ -602,15 +807,12 @@ impl Sm {
         });
         // Per-SM L1: a deterministic fraction of accesses hits on chip and
         // never reaches DRAM. Protect stores are non-cacheable by
-        // construction (§3.4) and always go to memory.
+        // construction (§3.4) and always go to memory. The address is
+        // `hash_combine(&[seed, kernel, block, warp, now])`, continued from
+        // the block's cached three-part prefix (`hash_combine` is a left
+        // fold).
         let access = (outcome.mem_bytes > 0).then(|| {
-            let addr = hash_combine(&[
-                seed,
-                block.id.kernel.0 as u64,
-                u64::from(block.id.index),
-                wi as u64,
-                now,
-            ]);
+            let addr = splitmix64(splitmix64(block.addr_key ^ wi as u64) ^ now);
             let hit = !outcome.protect_store
                 && crate::rng::unit_f64(hash_combine(&[addr, 0x11CA])) < self.l1_hit_fraction;
             (addr, hit)
@@ -621,11 +823,14 @@ impl Sm {
         if shared && mem.is_none() {
             return None;
         }
-        if let Some(s) = slot {
-            self.set_cursor(s);
+        if let Some(c) = cursor {
+            self.set_cursor(c);
         }
         let block = &mut self.blocks[bi];
-        block.warps_mut()[wi] = warp;
+        block.commit_warp(wi, warp);
+        if outcome.hit_barrier {
+            self.parked += 1;
+        }
         if outcome.insts > 0 {
             block.add_insts(outcome.insts);
             self.insts_issued_total += u64::from(outcome.insts);
@@ -673,10 +878,17 @@ impl Sm {
             let insts = block.issued_insts();
             let cycles = block.elapsed_cycles(now);
             self.blocks.remove(bi);
+            self.ready_at.drain(bi * wpb..(bi + 1) * wpb);
+            self.steady_rem.drain(bi * wpb..(bi + 1) * wpb);
+            if self.blocks.is_empty() {
+                self.kernel = None;
+            }
             self.rr = 0;
             self.last_slot = None;
             out.completed.push((id, insts, cycles));
             self.check_preempt_done(now, out);
+        } else {
+            self.refresh_slot(bi, wi, segments);
         }
         Some(if self.blocks.is_empty() {
             u64::MAX
@@ -688,16 +900,30 @@ impl Sm {
     /// Move the warp-selection cursor past `slot`, the slot that just
     /// issued.
     fn set_cursor(&mut self, slot: usize) {
-        let n = self.blocks.len() * self.blocks[0].warps().len();
-        self.rr = (slot + 1) % n;
+        let next = slot + 1;
+        self.rr = if next == self.ready_at.len() { 0 } else { next };
         self.last_slot = Some(slot);
     }
 
+    /// Book `insts` steady instructions for warp `w` of block `b` (a
+    /// batched issue) in the warp and in both slot tables.
+    #[inline]
+    fn issue_steady(&mut self, b: usize, w: usize, insts: u32) {
+        let (blk, s) = (&mut self.blocks[b], b * self.wpb + w);
+        blk.issue_steady(w, insts);
+        self.ready_at[s] = blk.ready_at(w);
+        self.steady_rem[s] -= insts;
+    }
+
     /// Replay a steady compute window — several future ticks of this SM — in
-    /// one step. Called after warp selection chose `(bi, wi)` and the
-    /// cursor moved for it; returns the SM's next-action cycle if a batch
-    /// was committed, or `None` to fall through to the ordinary
-    /// single-chunk issue.
+    /// one step. Called after warp selection chose slot `s` (with the
+    /// cursor move `cursor` still pending); returns the SM's next-action
+    /// cycle if a batch was committed, or `None` to fall through to the
+    /// ordinary single-chunk issue.
+    ///
+    /// Every read is a slot-table read: the chosen slot's `steady_rem`, and
+    /// under round-robin `ready_at` and `steady_rem` along the rotation.
+    /// A committed batch writes both tables for every slot it issued from.
     ///
     /// The batch is byte-identical to the serial schedule because:
     /// - batched ticks run at `now + j·issue_interval·chunk`, exactly where
@@ -720,15 +946,12 @@ impl Sm {
     // Out of line on purpose: memory-bound ticks return at the first
     // checks, and inlining the whole batcher into the tick body slows
     // every one of them.
-    #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn try_issue_batch(
         &mut self,
         now: u64,
-        bi: usize,
-        wi: usize,
-        slot: Option<usize>,
-        segments: &[Segment],
+        s: usize,
+        cursor: Option<usize>,
         limits: &TickLimits,
         out: &mut SmOutput,
     ) -> Option<u64> {
@@ -740,15 +963,12 @@ impl Sm {
         if tick_cycles == 0 {
             return None;
         }
-        // Cheap bail for memory phases: the chosen warp must be steady.
-        let chosen_rem = u64::from(
-            self.blocks[bi].warps()[wi]
-                .steady_compute_rem(segments, self.blocks[bi].scaled_segs())?,
-        );
+        // The caller checked that the chosen warp is steady.
+        let chosen_rem = u64::from(self.steady_rem[s]);
         // Ticks allowed by the horizon: batched tick j runs at
         // now + j·tick_cycles, and the last must not pass the horizon.
         let horizon_ticks = (limits.horizon - now) / tick_cycles + 1;
-        let (nb, wpb) = (self.blocks.len(), self.blocks[0].warps().len());
+        let n = self.ready_at.len();
         // Bound per-slot totals so the u32 counter updates cannot overflow.
         const INSTS_CAP: u64 = 1 << 30;
         if self.sched == crate::config::WarpSched::GreedyThenOldest {
@@ -762,9 +982,9 @@ impl Sm {
                 return None;
             }
             // simlint: allow(as-narrowing) -- ticks * chunk is capped at INSTS_CAP (2^30) above
-            self.blocks[bi].issue_steady(wi, (ticks * chunk) as u32);
-            if let Some(s) = slot {
-                self.set_cursor(s);
+            self.issue_steady(s / self.wpb, s % self.wpb, (ticks * chunk) as u32);
+            if let Some(c) = cursor {
+                self.set_cursor(c);
             }
             return self.commit_batch(now, ticks * chunk, out);
         }
@@ -779,33 +999,31 @@ impl Sm {
         let mut wake_min = u64::MAX;
         // The last runnable slot walked. Without a breaker it cyclically
         // precedes the chosen slot and ends a whole-rotation batch.
-        let mut last_ready = bi * wpb + wi;
-        let breaker = walk_slots(bi * wpb + wi, nb, wpb, |b, w| {
-            let blk = &self.blocks[b];
-            // AtBarrier / Done slots are inert for the whole window.
-            let Some(t) = blk.warp_ready_at(w) else {
-                return false;
-            };
-            if t > now {
-                wake_min = wake_min.min(t);
-                return false;
+        let mut last_ready = s;
+        let mut breaker = false;
+        for t in rotation(s, n) {
+            // Sleeping slots bound the window; AtBarrier / Done slots
+            // (`u64::MAX`) are inert for all of it.
+            let ready = self.ready_at[t];
+            if ready > now {
+                wake_min = wake_min.min(ready);
+                continue;
             }
-            match blk.warps()[w].steady_compute_rem(segments, blk.scaled_segs()) {
-                Some(rem) if u64::from(rem) > chunk => {
-                    prefix_len += 1;
-                    min_rem = min_rem.min(u64::from(rem));
-                    last_ready = b * wpb + w;
-                    false
-                }
-                _ => true,
+            let rem = u64::from(self.steady_rem[t]);
+            if rem <= chunk {
+                breaker = true;
+                break;
             }
-        });
+            prefix_len += 1;
+            min_rem = min_rem.min(rem);
+            last_ready = t;
+        }
         let mut max_ticks = horizon_ticks;
         if wake_min != u64::MAX {
             // The last batched tick must run strictly before the wake-up.
             max_ticks = max_ticks.min((wake_min - 1 - now) / tick_cycles + 1);
         }
-        if breaker.is_none() {
+        if !breaker {
             // Whole rotations over the runnable slots, all in the prefix.
             let rot = ((min_rem - 1) / chunk)
                 .min(max_ticks / prefix_len)
@@ -815,10 +1033,17 @@ impl Sm {
             if ticks >= 2 {
                 // simlint: allow(as-narrowing) -- rot * chunk is capped at INSTS_CAP / prefix_len above
                 let per_warp = (rot * chunk) as u32;
-                for blk in &mut self.blocks {
+                let wpb = self.wpb;
+                let tables = self
+                    .ready_at
+                    .chunks_exact_mut(wpb)
+                    .zip(self.steady_rem.chunks_exact_mut(wpb));
+                for (blk, (ready, rem)) in self.blocks.iter_mut().zip(tables) {
                     for w in 0..wpb {
-                        if blk.warp_ready_at(w).is_some_and(|t| t <= now) {
+                        if ready[w] <= now {
                             blk.issue_steady(w, per_warp);
+                            ready[w] = blk.ready_at(w);
+                            rem[w] -= per_warp;
                         }
                     }
                 }
@@ -842,18 +1067,28 @@ impl Sm {
         if ticks < 2 {
             return None;
         }
-        let mut remaining = ticks;
-        let chunk32 = self.issue_chunk;
-        let last = walk_slots(bi * wpb + wi, nb, wpb, |b, w| {
-            let blk = &mut self.blocks[b];
-            if blk.warp_ready_at(w).is_some_and(|t| t <= now) {
-                blk.issue_steady(w, chunk32);
+        let (mut remaining, mut last) = (ticks, s);
+        let (nb, wpb) = (self.blocks.len(), self.wpb);
+        let (mut b, mut w) = (s / wpb, s % wpb);
+        for t in rotation(s, n) {
+            if self.ready_at[t] <= now {
+                self.issue_steady(b, w, self.issue_chunk);
                 remaining -= 1;
+                last = t;
+                if remaining == 0 {
+                    break;
+                }
             }
-            remaining == 0
-        })
-        .expect("the steady prefix holds `ticks` runnable slots");
-        self.set_cursor(last.0 * wpb + last.1);
+            w += 1;
+            if w == wpb {
+                (b, w) = (if b + 1 == nb { 0 } else { b + 1 }, 0);
+            }
+        }
+        debug_assert_eq!(
+            remaining, 0,
+            "the steady prefix holds `ticks` runnable slots"
+        );
+        self.set_cursor(last);
         self.commit_batch(now, ticks * chunk, out)
     }
 
@@ -861,6 +1096,8 @@ impl Sm {
     /// into the SM-wide counters and return the next-action cycle.
     fn commit_batch(&mut self, now: u64, insts: u64, out: &mut SmOutput) -> Option<u64> {
         self.insts_issued_total += insts;
+        self.work.batched_ticks += 1;
+        self.work.batched_insts += insts;
         // simlint: allow(as-narrowing) -- per-call batches are capped at INSTS_CAP (2^30) by the issue paths
         out.issued_insts += insts as u32;
         self.issue_free_at = now + self.issue_interval * insts;
@@ -894,7 +1131,6 @@ impl Sm {
         start: u64,
         bound: u64,
         desc: Option<&KernelDesc>,
-        seed: u64,
     ) -> (u64, u64) {
         let limits = TickLimits {
             horizon: bound,
@@ -904,7 +1140,7 @@ impl Sm {
         let (mut now, mut issued) = (start, 0u64);
         while now <= bound {
             let mut out = SmOutput::default();
-            let Some(next) = self.tick_bounded(now, desc, None, seed, &mut out, &limits) else {
+            let Some(next) = self.tick_bounded(now, desc, None, &mut out, &limits) else {
                 break;
             };
             if out.issued_insts > 0 {
@@ -936,34 +1172,11 @@ impl Sm {
     }
 }
 
-/// Visit the `nb · wpb` (block, warp) slots in rotation order from flat
-/// slot `start` until `visit` returns `true`, and return that slot. The
-/// decomposition is tracked incrementally: warp selection walks the slots
-/// on every issue event, and per-slot divisions dominate it when most
-/// warps are stalled on memory. Always inlined, so each caller's closure
-/// compiles to a plain loop.
+/// The `n` slots in rotation order from `start`: `start..n`, then
+/// `0..start`.
 #[inline(always)]
-fn walk_slots(
-    start: usize,
-    nb: usize,
-    wpb: usize,
-    mut visit: impl FnMut(usize, usize) -> bool,
-) -> Option<(usize, usize)> {
-    let (mut b, mut w) = (start / wpb, start % wpb);
-    for _ in 0..nb * wpb {
-        if visit(b, w) {
-            return Some((b, w));
-        }
-        w += 1;
-        if w == wpb {
-            w = 0;
-            b += 1;
-            if b == nb {
-                b = 0;
-            }
-        }
-    }
-    None
+fn rotation(start: usize, n: usize) -> impl Iterator<Item = usize> {
+    (start..n).chain(0..start)
 }
 
 /// The segment that `outcome`'s instructions came from, if instructions were
@@ -1007,7 +1220,7 @@ mod tests {
         let mut now = 0u64;
         for _ in 0..2_000_000 {
             let mut out = SmOutput::default();
-            let next = sm.tick(now, Some(desc), mem, 1, &mut out);
+            let next = sm.tick(now, Some(desc), mem, &mut out);
             all.completed.extend(out.completed);
             all.effects.extend(out.effects);
             all.switched_out.extend(out.switched_out);
@@ -1028,17 +1241,20 @@ mod tests {
     fn single_block_completes_with_exact_inst_count() {
         let cfg = cfg();
         let d = desc(vec![Segment::compute(100), Segment::store(10)]);
-        let mut sm = Sm::new(0, &cfg);
+        let mut sm = Sm::new(0, &cfg, 1);
         let mut mem = MemSubsystem::new(&cfg);
-        sm.dispatch(BlockRun::new(
-            BlockId {
-                kernel: KernelId(0),
-                index: 0,
-            },
+        sm.dispatch(
+            BlockRun::new(
+                BlockId {
+                    kernel: KernelId(0),
+                    index: 0,
+                },
+                &d,
+                1,
+                0,
+            ),
             &d,
-            1,
-            0,
-        ));
+        );
         let (_, out) = run_to_empty(&mut sm, &d, &mut mem);
         assert_eq!(out.completed.len(), 1);
         let (_, insts, _) = out.completed[0];
@@ -1050,17 +1266,20 @@ mod tests {
     fn compute_bound_timing_matches_issue_model() {
         let cfg = cfg();
         let d = desc(vec![Segment::compute(1000)]);
-        let mut sm = Sm::new(0, &cfg);
+        let mut sm = Sm::new(0, &cfg, 1);
         let mut mem = MemSubsystem::new(&cfg);
-        sm.dispatch(BlockRun::new(
-            BlockId {
-                kernel: KernelId(0),
-                index: 0,
-            },
+        sm.dispatch(
+            BlockRun::new(
+                BlockId {
+                    kernel: KernelId(0),
+                    index: 0,
+                },
+                &d,
+                1,
+                0,
+            ),
             &d,
-            1,
-            0,
-        ));
+        );
         let (end, out) = run_to_empty(&mut sm, &d, &mut mem);
         // 2 warps x 1000 insts x 4 cycles/inst = 8000 cycles of issue.
         let (_, insts, cycles) = out.completed[0];
@@ -1076,28 +1295,34 @@ mod tests {
         let d_c = desc(vec![Segment::compute(200)]);
         let d_m = desc(vec![Segment::load(200)]);
         let mut mem = MemSubsystem::new(&cfg);
-        let mut sm = Sm::new(0, &cfg);
-        sm.dispatch(BlockRun::new(
-            BlockId {
-                kernel: KernelId(0),
-                index: 0,
-            },
+        let mut sm = Sm::new(0, &cfg, 1);
+        sm.dispatch(
+            BlockRun::new(
+                BlockId {
+                    kernel: KernelId(0),
+                    index: 0,
+                },
+                &d_c,
+                1,
+                0,
+            ),
             &d_c,
-            1,
-            0,
-        ));
+        );
         let (t_c, _) = run_to_empty(&mut sm, &d_c, &mut mem);
         let mut mem2 = MemSubsystem::new(&cfg);
-        let mut sm2 = Sm::new(0, &cfg);
-        sm2.dispatch(BlockRun::new(
-            BlockId {
-                kernel: KernelId(0),
-                index: 0,
-            },
+        let mut sm2 = Sm::new(0, &cfg, 1);
+        sm2.dispatch(
+            BlockRun::new(
+                BlockId {
+                    kernel: KernelId(0),
+                    index: 0,
+                },
+                &d_m,
+                1,
+                0,
+            ),
             &d_m,
-            1,
-            0,
-        ));
+        );
         let (t_m, _) = run_to_empty(&mut sm2, &d_m, &mut mem2);
         assert!(
             t_m > t_c * 2,
@@ -1109,18 +1334,21 @@ mod tests {
     fn flush_removes_blocks_instantly() {
         let cfg = cfg();
         let d = desc(vec![Segment::compute(10_000)]);
-        let mut sm = Sm::new(0, &cfg);
+        let mut sm = Sm::new(0, &cfg, 1);
         let _mem = MemSubsystem::new(&cfg);
         for i in 0..2 {
-            sm.dispatch(BlockRun::new(
-                BlockId {
-                    kernel: KernelId(0),
-                    index: i,
-                },
+            sm.dispatch(
+                BlockRun::new(
+                    BlockId {
+                        kernel: KernelId(0),
+                        index: i,
+                    },
+                    &d,
+                    1,
+                    0,
+                ),
                 &d,
-                1,
-                0,
-            ));
+            );
         }
         let mut out = SmOutput::default();
         let plan = SmPreemptPlan::uniform([0, 1], Technique::Flush);
@@ -1136,22 +1364,25 @@ mod tests {
     fn switch_halts_for_save_then_snapshots() {
         let cfg = cfg();
         let d = desc(vec![Segment::compute(100_000)]);
-        let mut sm = Sm::new(0, &cfg);
+        let mut sm = Sm::new(0, &cfg, 1);
         let mut mem = MemSubsystem::new(&cfg);
-        sm.dispatch(BlockRun::new(
-            BlockId {
-                kernel: KernelId(0),
-                index: 0,
-            },
+        sm.dispatch(
+            BlockRun::new(
+                BlockId {
+                    kernel: KernelId(0),
+                    index: 0,
+                },
+                &d,
+                1,
+                0,
+            ),
             &d,
-            1,
-            0,
-        ));
+        );
         // Make some progress first.
         let mut now = 0;
         for _ in 0..100 {
             let mut out = SmOutput::default();
-            now = sm.tick(now, Some(&d), &mut mem, 1, &mut out).max(now + 1);
+            now = sm.tick(now, Some(&d), &mut mem, &mut out).max(now + 1);
         }
         let mut out = SmOutput::default();
         let plan = SmPreemptPlan::uniform([0], Technique::Switch);
@@ -1165,7 +1396,7 @@ mod tests {
         let mut switched = Vec::new();
         for _ in 0..10_000 {
             let mut o = SmOutput::default();
-            let next = sm.tick(now, Some(&d), &mut mem, 1, &mut o);
+            let next = sm.tick(now, Some(&d), &mut mem, &mut o);
             switched.extend(o.switched_out);
             if let Some(l) = o.preempt_done {
                 done_latency = Some(l);
@@ -1183,17 +1414,20 @@ mod tests {
     fn drain_lets_blocks_finish() {
         let cfg = cfg();
         let d = desc(vec![Segment::compute(500)]);
-        let mut sm = Sm::new(0, &cfg);
+        let mut sm = Sm::new(0, &cfg, 1);
         let mut mem = MemSubsystem::new(&cfg);
-        sm.dispatch(BlockRun::new(
-            BlockId {
-                kernel: KernelId(0),
-                index: 0,
-            },
+        sm.dispatch(
+            BlockRun::new(
+                BlockId {
+                    kernel: KernelId(0),
+                    index: 0,
+                },
+                &d,
+                1,
+                0,
+            ),
             &d,
-            1,
-            0,
-        ));
+        );
         let mut out = SmOutput::default();
         let plan = SmPreemptPlan::uniform([0], Technique::Drain);
         sm.begin_preempt(0, &plan, save_cycles(&cfg, &d), &mut out)
@@ -1209,21 +1443,24 @@ mod tests {
     fn unsafe_flush_rejected_after_idem_point() {
         let cfg = cfg();
         let d = desc(vec![Segment::atomic(1), Segment::compute(100_000)]);
-        let mut sm = Sm::new(0, &cfg);
+        let mut sm = Sm::new(0, &cfg, 1);
         let mut mem = MemSubsystem::new(&cfg);
-        sm.dispatch(BlockRun::new(
-            BlockId {
-                kernel: KernelId(0),
-                index: 0,
-            },
+        sm.dispatch(
+            BlockRun::new(
+                BlockId {
+                    kernel: KernelId(0),
+                    index: 0,
+                },
+                &d,
+                1,
+                0,
+            ),
             &d,
-            1,
-            0,
-        ));
+        );
         let mut now = 0;
         for _ in 0..50 {
             let mut out = SmOutput::default();
-            now = sm.tick(now, Some(&d), &mut mem, 1, &mut out).max(now + 1);
+            now = sm.tick(now, Some(&d), &mut mem, &mut out).max(now + 1);
         }
         assert!(sm.snapshot(now).blocks[0].past_idem_point);
         let mut out = SmOutput::default();
@@ -1246,17 +1483,20 @@ mod tests {
     fn plan_must_cover_all_resident_blocks() {
         let cfg = cfg();
         let d = desc(vec![Segment::compute(100)]);
-        let mut sm = Sm::new(0, &cfg);
+        let mut sm = Sm::new(0, &cfg, 1);
         for i in 0..3 {
-            sm.dispatch(BlockRun::new(
-                BlockId {
-                    kernel: KernelId(0),
-                    index: i,
-                },
+            sm.dispatch(
+                BlockRun::new(
+                    BlockId {
+                        kernel: KernelId(0),
+                        index: i,
+                    },
+                    &d,
+                    1,
+                    0,
+                ),
                 &d,
-                1,
-                0,
-            ));
+            );
         }
         let mut out = SmOutput::default();
         let plan = SmPreemptPlan::uniform([0, 1], Technique::Drain);
@@ -1270,18 +1510,21 @@ mod tests {
     fn mixed_plan_flush_switch_drain() {
         let cfg = cfg();
         let d = desc(vec![Segment::compute(2_000)]);
-        let mut sm = Sm::new(0, &cfg);
+        let mut sm = Sm::new(0, &cfg, 1);
         let mut mem = MemSubsystem::new(&cfg);
         for i in 0..3 {
-            sm.dispatch(BlockRun::new(
-                BlockId {
-                    kernel: KernelId(0),
-                    index: i,
-                },
+            sm.dispatch(
+                BlockRun::new(
+                    BlockId {
+                        kernel: KernelId(0),
+                        index: i,
+                    },
+                    &d,
+                    1,
+                    0,
+                ),
                 &d,
-                1,
-                0,
-            ));
+            );
         }
         let mut out = SmOutput::default();
         let plan = SmPreemptPlan {
@@ -1307,17 +1550,20 @@ mod tests {
     fn cannot_dispatch_while_preempting() {
         let cfg = cfg();
         let d = desc(vec![Segment::compute(1_000)]);
-        let mut sm = Sm::new(0, &cfg);
+        let mut sm = Sm::new(0, &cfg, 1);
         sm.set_assigned(Some(KernelId(0)));
-        sm.dispatch(BlockRun::new(
-            BlockId {
-                kernel: KernelId(0),
-                index: 0,
-            },
+        sm.dispatch(
+            BlockRun::new(
+                BlockId {
+                    kernel: KernelId(0),
+                    index: 0,
+                },
+                &d,
+                1,
+                0,
+            ),
             &d,
-            1,
-            0,
-        ));
+        );
         assert!(sm.can_dispatch(KernelId(0), 8));
         let mut out = SmOutput::default();
         sm.begin_preempt(
@@ -1328,6 +1574,30 @@ mod tests {
         )
         .unwrap();
         assert!(!sm.can_dispatch(KernelId(0), 8));
+    }
+
+    /// `hash_combine` is a left fold, so the tick's memory address
+    /// continues the prefix a block caches at dispatch bit for bit.
+    #[test]
+    fn address_hash_continues_the_dispatch_prefix() {
+        let cfg = cfg();
+        let d = desc(vec![Segment::load(8)]);
+        for i in 0..200u32 {
+            let seed = hash_combine(&[u64::from(i), 1]);
+            let mut sm = Sm::new(0, &cfg, seed);
+            let id = BlockId {
+                kernel: KernelId(i as usize % 7),
+                index: i * 13,
+            };
+            sm.dispatch(BlockRun::new(id, &d, 1, 0), &d);
+            let key = sm.blocks[0].addr_key;
+            let (w, now) = (u64::from(i % 6), hash_combine(&[u64::from(i), 2]));
+            assert_eq!(
+                splitmix64(splitmix64(key ^ w) ^ now),
+                hash_combine(&[seed, id.kernel.0 as u64, u64::from(id.index), w, now]),
+                "case {i}"
+            );
+        }
     }
 
     /// The parallel engine's half of the one tick body: run without the
@@ -1362,14 +1632,14 @@ mod tests {
                 ..cfg()
             };
             let d = desc(segs);
-            let (mut sm, mut twin) = (Sm::new(0, &cfg), Sm::new(0, &cfg));
+            let (mut sm, mut twin) = (Sm::new(0, &cfg, 1), Sm::new(0, &cfg, 1));
             let (mut mem, mut twin_mem) = (MemSubsystem::new(&cfg), MemSubsystem::new(&cfg));
             let id = BlockId {
                 kernel: KernelId(0),
                 index: 0,
             };
-            sm.dispatch(BlockRun::new(id, &d, 1, 0));
-            twin.dispatch(BlockRun::new(id, &d, 1, 0));
+            sm.dispatch(BlockRun::new(id, &d, 1, 0), &d);
+            twin.dispatch(BlockRun::new(id, &d, 1, 0), &d);
             let mut now = 0;
             let out = loop {
                 assert!(now < 10_000, "{kind}: no interaction reached");
@@ -1377,7 +1647,7 @@ mod tests {
                 let before = format!("{sm:?}");
                 let mut out = SmOutput::default();
                 let mut twin_out = SmOutput::default();
-                let pure = sm.tick_bounded(now, Some(&d), None, 1, &mut out, &limits);
+                let pure = sm.tick_bounded(now, Some(&d), None, &mut out, &limits);
                 if pure.is_none() {
                     assert_eq!(
                         format!("{sm:?}"),
@@ -1389,10 +1659,10 @@ mod tests {
                 let next = match pure {
                     Some(next) => next,
                     None => sm
-                        .tick_bounded(now, Some(&d), Some(&mut mem), 1, &mut out, &limits)
+                        .tick_bounded(now, Some(&d), Some(&mut mem), &mut out, &limits)
                         .unwrap(),
                 };
-                let twin_next = twin.tick(now, Some(&d), &mut twin_mem, 1, &mut twin_out);
+                let twin_next = twin.tick(now, Some(&d), &mut twin_mem, &mut twin_out);
                 assert_eq!(next, twin_next, "{kind}: next cycle at {now}");
                 assert_eq!(
                     format!("{sm:?}"),
@@ -1432,6 +1702,7 @@ mod sched_tests {
     use super::*;
     use crate::config::WarpSched;
     use crate::kernel::{KernelDesc, Program, Segment};
+    use crate::warp::WarpPhase;
 
     fn desc(segs: Vec<Segment>) -> KernelDesc {
         KernelDesc::builder("k")
@@ -1444,23 +1715,26 @@ mod sched_tests {
     }
 
     fn run_until_done(cfg: &GpuConfig, d: &KernelDesc, blocks: u32) -> (u64, Sm) {
-        let mut sm = Sm::new(0, cfg);
+        let mut sm = Sm::new(0, cfg, 1);
         let mut mem = MemSubsystem::new(cfg);
         for i in 0..blocks {
-            sm.dispatch(BlockRun::new(
-                BlockId {
-                    kernel: KernelId(0),
-                    index: i,
-                },
+            sm.dispatch(
+                BlockRun::new(
+                    BlockId {
+                        kernel: KernelId(0),
+                        index: i,
+                    },
+                    d,
+                    1,
+                    0,
+                ),
                 d,
-                1,
-                0,
-            ));
+            );
         }
         let mut now = 0u64;
         for _ in 0..4_000_000 {
             let mut out = SmOutput::default();
-            let next = sm.tick(now, Some(d), &mut mem, 1, &mut out);
+            let next = sm.tick(now, Some(d), &mut mem, &mut out);
             if sm.resident_count() == 0 {
                 return (now, sm);
             }
@@ -1547,23 +1821,26 @@ mod sched_tests {
                 issue_chunk: 8,
                 ..GpuConfig::tiny()
             };
-            let mut sm = Sm::new(0, &cfg);
+            let mut sm = Sm::new(0, &cfg, 1);
             let mut mem = MemSubsystem::new(&cfg);
             for i in 0..4 {
-                sm.dispatch(BlockRun::new(
-                    BlockId {
-                        kernel: KernelId(0),
-                        index: i,
-                    },
+                sm.dispatch(
+                    BlockRun::new(
+                        BlockId {
+                            kernel: KernelId(0),
+                            index: i,
+                        },
+                        &d,
+                        1,
+                        0,
+                    ),
                     &d,
-                    1,
-                    0,
-                ));
+                );
             }
             let mut now = 0u64;
             for _ in 0..2_000 {
                 let mut out = SmOutput::default();
-                now = sm.tick(now, Some(&d), &mut mem, 1, &mut out).max(now + 1);
+                now = sm.tick(now, Some(&d), &mut mem, &mut out).max(now + 1);
             }
             let snap = sm.snapshot(now);
             let max = snap.blocks.iter().map(|b| b.executed_insts).max().unwrap();
@@ -1589,7 +1866,7 @@ mod sched_tests {
     /// and a compute warp past the breaker that is stalled on memory until
     /// `sleeper_wake`.
     fn prefix_breaker_sleeper(cfg: &GpuConfig, d: &KernelDesc, sleeper_wake: u64) -> Sm {
-        let mut sm = Sm::new(0, cfg);
+        let mut sm = Sm::new(0, cfg, 1);
         let id = BlockId {
             kernel: KernelId(0),
             index: 0,
@@ -1600,7 +1877,7 @@ mod sched_tests {
         warps[4].seg_idx = 1;
         warps[5].seg_idx = 2;
         warps[5].phase = WarpPhase::WaitMem(sleeper_wake);
-        sm.dispatch(block);
+        sm.dispatch(block, d);
         sm
     }
 
@@ -1621,23 +1898,22 @@ mod sched_tests {
         for _ in 0..200 {
             let mut out = SmOutput::default();
             let next = sm
-                .tick_bounded(now, Some(d), Some(&mut mem), 1, &mut out, &limits)
+                .tick_bounded(now, Some(d), Some(&mut mem), &mut out, &limits)
                 .expect("a tick with the memory subsystem always commits");
             let mut twin_out = SmOutput::default();
             while twin_now < next {
                 let mut o = SmOutput::default();
-                let t = twin.tick(twin_now, Some(d), &mut twin_mem, 1, &mut o);
+                let t = twin.tick(twin_now, Some(d), &mut twin_mem, &mut o);
                 absorb(&mut twin_out, o);
                 if t == u64::MAX {
                     break;
                 }
                 twin_now = t.max(twin_now + 1);
             }
-            assert_eq!(
-                format!("{sm:?}"),
-                format!("{twin:?}"),
-                "SM after the tick at {now}"
-            );
+            // A batch is one tick of engine work for several of the
+            // twin's, so only the work counters may differ.
+            let state = |sm: &Sm| format!("{sm:?}").replace(&format!("{:?}", sm.work), "");
+            assert_eq!(state(&sm), state(&twin), "SM after the tick at {now}");
             assert_eq!(
                 format!("{out:?}"),
                 format!("{twin_out:?}"),
@@ -1692,5 +1968,128 @@ mod sched_tests {
             issued[0] > 4 * chunk,
             "greedy batches the chosen warp alone"
         );
+    }
+}
+
+#[cfg(test)]
+mod table_tests {
+    use super::*;
+    use crate::config::WarpSched;
+    use crate::kernel::{KernelDesc, Program, Segment};
+    use proptest::prelude::*;
+
+    fn arb_segment() -> impl Strategy<Value = Segment> {
+        prop_oneof![
+            (1u32..40).prop_map(Segment::compute),
+            (1u32..40).prop_map(|insts| Segment::Shared { insts }),
+            (1u32..6).prop_map(Segment::load),
+            (1u32..4).prop_map(Segment::store),
+            Just(Segment::Barrier),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Both slot tables (and the parked-warp counts) equal their
+        /// recomputation from the blocks after every step of a random mix:
+        /// dispatches of fresh and resumed blocks, ticks with and without
+        /// the memory subsystem and with or without a batching window, and
+        /// flush/switch/drain preemptions, under both warp schedulers.
+        #[test]
+        fn slot_tables_match_the_blocks_after_every_step(
+            segs in proptest::collection::vec(arb_segment(), 1..7),
+            gto in any::<bool>(),
+            chunk in 1u32..9,
+            warps in 1u32..5,
+            jitter in 0u32..3,
+            steps in proptest::collection::vec((any::<u8>(), 1u64..400), 1..120),
+        ) {
+            let cfg = GpuConfig {
+                warp_sched: if gto {
+                    WarpSched::GreedyThenOldest
+                } else {
+                    WarpSched::LooseRoundRobin
+                },
+                issue_chunk: chunk,
+                l1_hit_fraction: 0.5,
+                ..GpuConfig::tiny()
+            };
+            let d = KernelDesc::builder("t")
+                .grid_blocks(64)
+                .threads_per_block(32 * warps)
+                .regs_per_thread(16)
+                .program(Program::new([segs, vec![Segment::compute(3)]].concat()))
+                .jitter_pct(f64::from(jitter) * 0.2)
+                .build()
+                .expect("generated kernels are valid");
+            let mut sm = Sm::new(0, &cfg, 3);
+            let mut mem = MemSubsystem::new(&cfg);
+            let (mut now, mut next_index) = (0u64, 0u32);
+            let mut saved: Vec<TbSnapshot> = Vec::new();
+            for (step, &(action, dt)) in steps.iter().enumerate() {
+                let mut out = SmOutput::default();
+                match action % 6 {
+                    0 | 1 if !sm.is_preempting() && sm.resident_count() < 4 => {
+                        let block = match saved.pop() {
+                            Some(snap) if action & 0x80 != 0 => {
+                                BlockRun::from_snapshot(snap, now, now + dt)
+                            }
+                            _ => {
+                                next_index += 1;
+                                let id = BlockId {
+                                    kernel: KernelId(0),
+                                    index: next_index,
+                                };
+                                BlockRun::new(id, &d, 5, now)
+                            }
+                        };
+                        sm.dispatch(block, &d);
+                    }
+                    2 if !sm.is_preempting() && sm.resident_count() > 0 => {
+                        // A per-block mix, so flushes and switch-outs also
+                        // remove blocks from the middle of the tables.
+                        let entries = sm
+                            .resident_indices()
+                            .into_iter()
+                            .map(|ix| {
+                                let technique = match (u32::from(action) + ix) % 3 {
+                                    0 => Technique::Flush,
+                                    1 => Technique::Drain,
+                                    _ => Technique::Switch,
+                                };
+                                (ix, technique)
+                            })
+                            .collect();
+                        let plan = SmPreemptPlan {
+                            entries,
+                            allow_unsafe_flush: true,
+                        };
+                        sm.begin_preempt(now, &plan, dt, &mut out)
+                            .expect("a covering plan on a busy SM is accepted");
+                    }
+                    action => {
+                        let limits = TickLimits {
+                            horizon: now + dt * 40,
+                            max_insts: u64::MAX,
+                            may_gain_blocks: action == 5,
+                        };
+                        let pure = if action == 3 {
+                            sm.tick_bounded(now, Some(&d), None, &mut out, &limits)
+                        } else {
+                            None
+                        };
+                        let next = match pure {
+                            Some(next) => next,
+                            None => sm
+                                .tick_bounded(now, Some(&d), Some(&mut mem), &mut out, &limits)
+                                .expect("a tick with the memory subsystem always commits"),
+                        };
+                        now = if next == u64::MAX { now + dt } else { next.max(now + 1) };
+                    }
+                }
+                saved.extend(out.switched_out);
+                prop_assert_eq!(sm.table_drift(Some(&d)), None, "after step {}", step);
+            }
+        }
     }
 }

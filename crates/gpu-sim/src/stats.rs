@@ -109,6 +109,28 @@ pub struct GpuStats {
     pub mem_bytes_served: u64,
 }
 
+/// Deterministic counts of the engine's own work (see
+/// [`Engine::work_counters`](crate::Engine::work_counters)): the same on
+/// every host, so they can be diffed where wall time cannot. They count
+/// engine operations, so they depend on the execution mode.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// SM ticks run by the serial event loop (every mode's, and Phase B of
+    /// the parallel engine). The pure ticks of a parallel epoch's Phase A
+    /// are not counted.
+    pub serial_ticks: u64,
+    /// Committed ticks that found no ready warp, Phase-A pure ticks
+    /// included.
+    pub idle_ticks: u64,
+    /// All-SM dispatch sweeps.
+    pub dispatch_sweeps: u64,
+    /// Committed batched ticks (each replays several single-chunk ticks),
+    /// Phase-A pure ticks included.
+    pub batched_ticks: u64,
+    /// Warp instructions issued by those batched ticks.
+    pub batched_insts: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,7 +15,7 @@
 use gpu_sim::trace::chrome_trace_json;
 use gpu_sim::{
     Engine, Event, ExecMode, GpuConfig, KernelDesc, KernelId, Program, Segment, SmPreemptPlan,
-    Technique,
+    Technique, WarpSched,
 };
 
 fn four_sm_config() -> GpuConfig {
@@ -78,11 +78,19 @@ fn switch_sm(e: &mut Engine, sm: usize) {
     }
 }
 
-/// A preemption-heavy multiprogrammed run: two kernels on a 4-SM split,
-/// with SMs 0–1 ping-ponged between them by context-switch preemptions so
-/// blocks get switched out, resumed, and re-preempted repeatedly.
-fn run_scenario(mode: ExecMode) -> (Vec<Event>, String, String) {
-    let cfg = four_sm_config();
+/// Both warp schedulers: they take different paths through warp selection
+/// and the batched issue.
+const SCHEDULERS: [WarpSched; 2] = [WarpSched::LooseRoundRobin, WarpSched::GreedyThenOldest];
+
+/// A preemption-heavy multiprogrammed run under warp scheduler `sched`:
+/// two kernels on a 4-SM split, with SMs 0–1 ping-ponged between them by
+/// context-switch preemptions so blocks get switched out, resumed, and
+/// re-preempted repeatedly.
+fn run_scenario(mode: ExecMode, sched: WarpSched) -> (Vec<Event>, String, String) {
+    let cfg = GpuConfig {
+        warp_sched: sched,
+        ..four_sm_config()
+    };
     let mut e = Engine::with_seed(cfg.clone(), 11);
     e.set_exec_mode(mode);
     arm_race_check(&mut e);
@@ -130,44 +138,60 @@ fn run_scenario(mode: ExecMode) -> (Vec<Event>, String, String) {
 
 #[test]
 fn heap_and_scan_schedulers_are_equivalent() {
-    let (ev_event, stats_event, trace_event) = run_scenario(ExecMode::Event);
-    let (ev_scan, stats_scan, trace_scan) = run_scenario(ExecMode::Scan);
-    assert!(
-        !ev_event.is_empty(),
-        "scenario must produce events for the comparison to mean anything"
-    );
-    assert_eq!(ev_event, ev_scan, "event streams diverged");
-    assert_eq!(stats_event, stats_scan, "final statistics diverged");
-    assert!(
-        trace_event == trace_scan,
-        "chrome traces diverged ({} vs {} bytes)",
-        trace_event.len(),
-        trace_scan.len()
-    );
+    for sched in SCHEDULERS {
+        let (ev_event, stats_event, trace_event) = run_scenario(ExecMode::Event, sched);
+        let (ev_scan, stats_scan, trace_scan) = run_scenario(ExecMode::Scan, sched);
+        assert!(
+            !ev_event.is_empty(),
+            "scenario must produce events for the comparison to mean anything"
+        );
+        assert_eq!(ev_event, ev_scan, "event streams diverged under {sched:?}");
+        assert_eq!(
+            stats_event, stats_scan,
+            "final statistics diverged under {sched:?}"
+        );
+        assert!(
+            trace_event == trace_scan,
+            "chrome traces diverged under {sched:?} ({} vs {} bytes)",
+            trace_event.len(),
+            trace_scan.len()
+        );
+    }
 }
 
 #[test]
 fn three_way_mode_equivalence() {
     // Scan vs heap vs parallel (at several shard counts) on the same
-    // preemption-heavy scenario: events, stats and traces byte-identical.
-    let reference = run_scenario(ExecMode::Event);
-    assert!(!reference.0.is_empty(), "scenario must produce events");
-    for mode in [
-        ExecMode::Scan,
-        ExecMode::Parallel { shards: 1 },
-        ExecMode::Parallel { shards: 2 },
-        ExecMode::Parallel { shards: 4 },
-    ] {
-        let got = run_scenario(mode);
-        assert_eq!(got.0, reference.0, "event streams diverged in {mode:?}");
-        assert_eq!(got.1, reference.1, "statistics diverged in {mode:?}");
-        assert!(
-            got.2 == reference.2,
-            "chrome traces diverged in {mode:?} ({} vs {} bytes)",
-            got.2.len(),
-            reference.2.len()
-        );
+    // preemption-heavy scenario, under both warp schedulers: events, stats
+    // and traces byte-identical.
+    let mut references = Vec::new();
+    for sched in SCHEDULERS {
+        let reference = run_scenario(ExecMode::Event, sched);
+        assert!(!reference.0.is_empty(), "scenario must produce events");
+        for mode in [
+            ExecMode::Scan,
+            ExecMode::Parallel { shards: 1 },
+            ExecMode::Parallel { shards: 2 },
+            ExecMode::Parallel { shards: 4 },
+        ] {
+            let got = run_scenario(mode, sched);
+            let case = format!("{mode:?} under {sched:?}");
+            assert_eq!(got.0, reference.0, "event streams diverged in {case}");
+            assert_eq!(got.1, reference.1, "statistics diverged in {case}");
+            assert!(
+                got.2 == reference.2,
+                "chrome traces diverged in {case} ({} vs {} bytes)",
+                got.2.len(),
+                reference.2.len()
+            );
+        }
+        references.push(reference);
     }
+    // The schedulers must really differ, or the second pass proves nothing.
+    assert_ne!(
+        references[0].2, references[1].2,
+        "round-robin and greedy-then-oldest ran identically"
+    );
 }
 
 #[test]
