@@ -1,7 +1,7 @@
 //! Thread-block execution state.
 
 use crate::kernel::{KernelDesc, Segment};
-use crate::rng::{hash_combine, unit_f64};
+use crate::rng::{hash_combine, splitmix64, unit_f64};
 use crate::warp::{Warp, WarpPhase};
 use crate::KernelId;
 
@@ -90,12 +90,62 @@ pub fn scaled_segments(desc: &KernelDesc, seed: u64, index: u32) -> Vec<u32> {
 /// The per-warp instruction total of block `index` of `desc`: the sum of
 /// [`scaled_segments`] without building the vector.
 pub fn scaled_block_total(desc: &KernelDesc, seed: u64, index: u32) -> u64 {
-    let factor = jitter_factor(desc, seed, index);
+    total_at(desc, jitter_factor(desc, seed, index))
+}
+
+/// The smallest [`scaled_block_total`] over the grid of `desc`, times its
+/// warps per block: the fewest warp instructions any block of the kernel
+/// executes.
+///
+/// Exact, not an estimate. A segment's scaled length is monotone
+/// non-decreasing in the scale factor (a multiply by a non-negative count,
+/// `round`, a saturating cast and `max(1)`; barriers and protect-stores are
+/// constant), and for a jitter in `[0, 1)` — the only values [`KernelDesc`] accepts — the factor
+/// `1 + jitter·(2u − 1)` is monotone in the draw `u`, which is itself
+/// monotone in the top 53 bits of the block's jitter hash (every step is a
+/// correctly rounded, hence monotone, float operation). So the minimum over
+/// the grid is the total at the smallest draw, bit for bit, and each block
+/// costs two hash rounds and an integer `min` instead of a scaled
+/// segment walk.
+pub fn min_block_total(desc: &KernelDesc, seed: u64) -> u64 {
+    let factor = if desc.jitter_pct() == 0.0 {
+        1.0
+    } else {
+        // `hash_combine` is a left fold: hoist its constant first round.
+        let prefix = hash_combine(&[seed]);
+        let Some(draw) = (0..desc.grid_blocks())
+            .map(|i| jitter_draw(prefix, i))
+            .min()
+        else {
+            return 0;
+        };
+        scale(desc.jitter_pct(), draw)
+    };
+    total_at(desc, factor).saturating_mul(u64::from(desc.warps_per_block()))
+}
+
+/// The per-warp instruction total of a block of `desc` under `factor`.
+fn total_at(desc: &KernelDesc, factor: f64) -> u64 {
     desc.program()
         .segments()
         .iter()
         .map(|s| u64::from(scaled_len(s, factor)))
         .sum()
+}
+
+/// Tag of the jitter hash `hash_combine(&[seed, index, JITTER_TAG])`.
+const JITTER_TAG: u64 = 0xB10C;
+
+/// The jitter hash of block `index`, continued from `prefix =
+/// hash_combine(&[seed])`: equal to `hash_combine(&[seed, index, JITTER_TAG])`.
+fn jitter_draw(prefix: u64, index: u32) -> u64 {
+    splitmix64(splitmix64(prefix ^ u64::from(index)) ^ JITTER_TAG)
+}
+
+/// The length scale `1 + jitter·(2u − 1)` for the jitter hash `h`
+/// (`u = unit_f64(h)`, so only `h >> 11` matters).
+fn scale(jitter: f64, h: u64) -> f64 {
+    1.0 + jitter * (2.0 * unit_f64(h) - 1.0)
 }
 
 /// Block `index`'s length scale: `1 ± jitter`, drawn from `(seed, index)`.
@@ -104,8 +154,7 @@ fn jitter_factor(desc: &KernelDesc, seed: u64, index: u32) -> f64 {
     if jitter == 0.0 {
         1.0
     } else {
-        let u = unit_f64(hash_combine(&[seed, u64::from(index), 0xB10C]));
-        1.0 + jitter * (2.0 * u - 1.0)
+        scale(jitter, hash_combine(&[seed, u64::from(index), JITTER_TAG]))
     }
 }
 
@@ -320,6 +369,7 @@ mod tests {
     use super::*;
     use crate::kernel::{KernelDesc, Program, Segment};
     use crate::KernelId;
+    use proptest::prelude::*;
 
     fn desc(jitter: f64) -> KernelDesc {
         KernelDesc::builder("b")
@@ -396,6 +446,43 @@ mod tests {
                 .map(|&n| u64::from(n))
                 .sum();
             assert_eq!(scaled_block_total(&k, seed, index), sum, "case {i}");
+        }
+    }
+
+    fn arb_segment() -> impl Strategy<Value = Segment> {
+        prop_oneof![
+            (1u32..2000).prop_map(Segment::compute),
+            (1u32..40).prop_map(Segment::load),
+            (1u32..40).prop_map(Segment::store),
+            Just(Segment::Barrier),
+            Just(Segment::ProtectStore),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The smallest-draw bound equals the brute-force minimum of every
+        /// block's total over the grid, jitter 0 included.
+        #[test]
+        fn min_block_total_is_the_brute_force_grid_minimum(
+            segs in proptest::collection::vec(arb_segment(), 1..8),
+            jitter in prop_oneof![Just(0.0), 0.0f64..1.0],
+            grid in 1u32..4097,
+            warps in 1u32..9,
+            seed in any::<u64>(),
+        ) {
+            let k = KernelDesc::builder("t")
+                .grid_blocks(grid)
+                .threads_per_block(32 * warps)
+                .program(Program::new([segs, vec![Segment::compute(1)]].concat()))
+                .jitter_pct(jitter)
+                .build()
+                .expect("generated kernels are valid");
+            let brute = (0..grid)
+                .map(|i| scaled_block_total(&k, seed, i) * u64::from(warps))
+                .min()
+                .expect("non-empty grid");
+            prop_assert_eq!(min_block_total(&k, seed), brute);
         }
     }
 

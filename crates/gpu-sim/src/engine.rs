@@ -40,9 +40,11 @@
 //!
 //! The thread-block dispatcher is not on the calendar. Anything that can
 //! change dispatchability (launch, assign, preemption, a block completing
-//! or switching out) sets a dirty flag, and every loop iteration runs the
-//! all-SM dispatch sweep first if the flag is set — before the next tick,
-//! exactly where the legacy loop ran it. Memory partitions are not on the
+//! or switching out) marks a pending sweep, and every loop iteration runs
+//! it first — before the next tick, exactly where the legacy loop ran its
+//! all-SM sweep. A block completion or a finished preemption marks only
+//! its own SM, the one SM whose dispatchability it changed; everything
+//! else marks all SMs. Memory partitions are not on the
 //! calendar either: request timing is fixed at issue, and their statistics
 //! are computed when read (see [`crate::mem`]). The event-ordering
 //! contract all of this rests on: every observable the engine emits is
@@ -146,6 +148,17 @@ pub enum ExecMode {
     },
 }
 
+/// The dispatch sweep owed before the run loop's next tick.
+#[derive(Debug, Clone, Copy)]
+enum PendingSweep {
+    /// Nothing changed dispatchability since the last sweep.
+    Clean,
+    /// Only this SM's state did (see [`Engine::mark_sm_dispatch_dirty`]).
+    One(usize),
+    /// Any SM's may have: sweep all of them in index order.
+    All,
+}
+
 /// Functional-memory effect slot for a segment.
 #[derive(Debug, Clone, Copy)]
 enum EffectSlot {
@@ -155,11 +168,66 @@ enum EffectSlot {
     Counter { ordinal: usize },
 }
 
-/// The modelled global memory a kernel writes to.
+/// One store's effect on a functional-memory cell.
+#[derive(Debug, Clone, Copy)]
+enum CellWrite {
+    /// A pure store: the cell becomes this value whatever it held.
+    Store(u64),
+    /// A read-modify-write: the cell becomes `overwrite_mix` of its current
+    /// value, so replaying it is observable.
+    Overwrite,
+}
+
+/// The modelled global memory a kernel writes to, written on first touch.
+///
+/// A cell whose written bit is clear holds `cell_init(seed, index)` by
+/// definition: launch allocates zeroed storage and hashes nothing, and an
+/// initial value is hashed only where it is read — by an overwrite of a
+/// never-written cell, or by [`FuncMem::image`].
 #[derive(Debug, Clone, Default)]
 struct FuncMem {
+    seed: u64,
+    /// Cell values; meaningful only where the written bit is set.
     cells: Vec<u64>,
+    /// One written bit per cell, 64 cells per word.
+    written: Vec<u64>,
     counters: Vec<u64>,
+}
+
+impl FuncMem {
+    /// `n_cells` cells at their initial values and `n_counters` zeroed
+    /// atomic counters.
+    fn new(seed: u64, n_cells: usize, n_counters: usize) -> Self {
+        FuncMem {
+            seed,
+            cells: vec![0; n_cells],
+            written: vec![0; n_cells.div_ceil(64)],
+            counters: vec![0; n_counters],
+        }
+    }
+
+    /// Cell `idx`'s current value.
+    fn cell(&self, idx: usize) -> u64 {
+        if self.written[idx / 64] & (1 << (idx % 64)) != 0 {
+            self.cells[idx]
+        } else {
+            cell_init(self.seed, idx)
+        }
+    }
+
+    /// Apply one store to cell `idx`.
+    fn write_cell(&mut self, idx: usize, w: CellWrite) {
+        self.cells[idx] = match w {
+            CellWrite::Store(v) => v,
+            CellWrite::Overwrite => overwrite_mix(self.cell(idx)),
+        };
+        self.written[idx / 64] |= 1 << (idx % 64);
+    }
+
+    /// The materialised image: every cell's current value.
+    fn image(&self) -> Vec<u64> {
+        (0..self.cells.len()).map(|i| self.cell(i)).collect()
+    }
 }
 
 const CELL_INIT_TAG: u64 = 0xCE11;
@@ -201,7 +269,12 @@ struct KernelInstance {
     n_cell_segs: usize,
     /// Minimum over the grid of a block's total warp instructions (jitter
     /// scaling makes blocks unequal). A sound per-block lower bound for
-    /// [`Engine::kernel_finish_lower_bound`].
+    /// [`Engine::kernel_finish_lower_bound`], computed exactly from the
+    /// grid's smallest jitter draw (see [`crate::block::min_block_total`]
+    /// for the monotonicity argument). The analytic bound — every segment
+    /// scaled by `1 − jitter` — would also be sound, but it is lower, so it
+    /// would move the finish bound, and with it the batching horizons and
+    /// the work counters.
     min_block_total: u64,
 }
 
@@ -238,23 +311,14 @@ impl KernelInstance {
         }
         let n_slots =
             desc.grid_blocks() as usize * desc.warps_per_block() as usize * n_cells.max(1);
-        let func = FuncMem {
-            cells: (0..n_slots).map(|i| cell_init(seed, i)).collect(),
-            counters: vec![0; n_counters],
-        };
+        let func = FuncMem::new(seed, n_slots, n_counters);
         let stats = KernelStats {
             name: desc.name().to_string(),
             launched_at: now,
             grid_blocks: desc.grid_blocks(),
             ..KernelStats::default()
         };
-        let min_block_total = (0..desc.grid_blocks())
-            .map(|i| {
-                crate::block::scaled_block_total(&desc, seed, i)
-                    .saturating_mul(u64::from(desc.warps_per_block()))
-            })
-            .min()
-            .unwrap_or(0);
+        let min_block_total = crate::block::min_block_total(&desc, seed);
         KernelInstance {
             desc,
             seed,
@@ -320,12 +384,12 @@ impl KernelInstance {
         match slot {
             EffectSlot::Cell { ordinal, overwrite } => {
                 let idx = self.cell_index(e.block, e.warp, ordinal);
-                let cur = self.func.cells[idx];
-                self.func.cells[idx] = if overwrite {
-                    overwrite_mix(cur)
+                let w = if overwrite {
+                    CellWrite::Overwrite
                 } else {
-                    pure_store_value(self.seed, e.block, e.warp, ordinal)
+                    CellWrite::Store(pure_store_value(self.seed, e.block, e.warp, ordinal))
                 };
+                self.func.write_cell(idx, w);
             }
             EffectSlot::Counter { ordinal } => {
                 self.func.counters[ordinal] += 1;
@@ -381,11 +445,10 @@ pub struct Engine {
     /// the calendar; [`ExecMode::Parallel`] adds the sharded pure
     /// phase in front of the serial calendar loop.
     mode: ExecMode,
-    /// Set whenever dispatch opportunities may have changed (launch,
-    /// assign, preempt, block completion/switch-out); the run loops run the
-    /// all-SM dispatch sweep before their next tick while it is set. Starts
-    /// `true`: a fresh engine sweeps once.
-    dispatch_dirty: bool,
+    /// The dispatch sweep owed before the run loop's next tick (see
+    /// [`PendingSweep`]). Starts at [`PendingSweep::All`]: a fresh engine
+    /// sweeps once.
+    pending_sweep: PendingSweep,
     kernels: Vec<KernelInstance>,
     /// Indices of the launched kernels that have not finished, in launch
     /// order: the only ones [`Engine::kernel_finish_lower_bound`] visits.
@@ -397,6 +460,8 @@ pub struct Engine {
     serial_ticks: u64,
     /// Dispatch sweeps run (see [`WorkCounters`]).
     dispatch_sweeps: u64,
+    /// SMs those sweeps visited (see [`WorkCounters`]).
+    sweep_sm_visits: u64,
     cycle: u64,
     seed: u64,
     prefer_preempted: bool,
@@ -450,12 +515,13 @@ impl Engine {
             // idle state.
             calendar: Calendar::new(n),
             mode: ExecMode::Event,
-            dispatch_dirty: true,
+            pending_sweep: PendingSweep::All,
             kernels: Vec::new(),
             live_kernels: Vec::new(),
             tick_out: SmOutput::default(),
             serial_ticks: 0,
             dispatch_sweeps: 0,
+            sweep_sm_visits: 0,
             cycle: 0,
             seed,
             prefer_preempted: true,
@@ -830,21 +896,66 @@ impl Engine {
     /// exactly where the legacy loop swept. Arming is shared engine state,
     /// so the race sanitizer sees it like a sweep.
     fn mark_dispatch_dirty(&mut self) {
+        self.note_dispatcher_access();
+        self.pending_sweep = PendingSweep::All;
+    }
+
+    /// Request a sweep of `sm` alone: only its own state changed
+    /// dispatchability (a freed slot, a finished preemption). A second SM
+    /// marked before the sweep escalates to the all-SM sweep, which visits
+    /// them in index order as the legacy loop did.
+    fn mark_sm_dispatch_dirty(&mut self, sm: usize) {
+        self.note_dispatcher_access();
+        self.pending_sweep = match self.pending_sweep {
+            PendingSweep::Clean => PendingSweep::One(sm),
+            PendingSweep::One(j) if j == sm => PendingSweep::One(sm),
+            _ => PendingSweep::All,
+        };
+    }
+
+    /// Report a dispatcher access to the race sanitizer, if enabled.
+    fn note_dispatcher_access(&self) {
         if let Some(r) = &self.race {
             r.state()
                 .note_shared_access(crate::race::SharedResource::Dispatcher, None, self.cycle);
         }
-        self.dispatch_dirty = true;
     }
 
-    /// Run the all-SM dispatch sweep if one is pending. Both run loops call
-    /// this before every step, so a sweep always precedes the next SM tick
-    /// and never moves the clock.
+    /// Run the pending dispatch sweep, if any. Both run loops call this
+    /// before every step, so a sweep always precedes the next SM tick and
+    /// never moves the clock.
+    ///
+    /// A single-SM sweep dispatches exactly what the all-SM sweep would:
+    /// after every sweep no SM can take a block of its kernel, and only the
+    /// marked SM's state changed since.
     fn sweep_if_dirty(&mut self) {
-        if std::mem::take(&mut self.dispatch_dirty) {
-            self.dispatch_sweeps += 1;
-            self.dispatch_all();
+        let sms = match std::mem::replace(&mut self.pending_sweep, PendingSweep::Clean) {
+            PendingSweep::Clean => return,
+            PendingSweep::One(sm) => sm..sm + 1,
+            PendingSweep::All => 0..self.sms.len(),
+        };
+        self.dispatch_sweeps += 1;
+        self.sweep_sm_visits += sms.len() as u64;
+        self.note_dispatcher_access();
+        for i in sms {
+            self.dispatch_sm(i);
         }
+        debug_assert_eq!(
+            self.first_dispatchable_sm(),
+            None,
+            "a dispatch sweep left a dispatchable SM"
+        );
+    }
+
+    /// The first SM that could take a block of its kernel right now, if
+    /// any: the state every sweep must leave at `None`.
+    fn first_dispatchable_sm(&self) -> Option<usize> {
+        self.sms.iter().position(|sm| {
+            sm.assigned().is_some_and(|k| {
+                let ki = &self.kernels[k.0];
+                sm.can_dispatch(k, ki.occupancy) && ki.has_dispatchable()
+            })
+        })
     }
 
     /// The next `(cycle, SM index)` to process, without consuming it: the
@@ -979,6 +1090,7 @@ impl Engine {
         let mut c = WorkCounters {
             serial_ticks: self.serial_ticks,
             dispatch_sweeps: self.dispatch_sweeps,
+            sweep_sm_visits: self.sweep_sm_visits,
             ..WorkCounters::default()
         };
         for sm in &self.sms {
@@ -1002,12 +1114,6 @@ impl Engine {
         self.mem.partition_stats(self.cycle)
     }
 
-    /// The kernel's functional memory image: `(cells, atomic counters)`.
-    pub fn func_mem(&self, id: KernelId) -> (&[u64], &[u64]) {
-        let k = &self.kernels[id.0];
-        (&k.func.cells, &k.func.counters)
-    }
-
     /// Verify the kernel's functional memory against a preemption-free
     /// reference execution. Returns the number of mismatching locations
     /// (0 means the execution was semantically correct).
@@ -1017,7 +1123,7 @@ impl Engine {
         let mut bad = 0;
         bad += k
             .func
-            .cells
+            .image()
             .iter()
             .zip(&cells)
             .filter(|(a, b)| a != b)
@@ -1149,9 +1255,11 @@ impl Engine {
     /// event through `target` was processed.
     fn step_events_until(&mut self, target: u64) -> bool {
         loop {
-            // Scan mode reproduces the legacy hot loop, which swept dispatch
+            // Scan mode reproduces the legacy hot loop, which swept every SM
             // on every iteration; the other modes sweep only when dirty.
-            self.dispatch_dirty |= self.mode == ExecMode::Scan;
+            if self.mode == ExecMode::Scan {
+                self.pending_sweep = PendingSweep::All;
+            }
             self.sweep_if_dirty();
             let Some((t, idx)) = self.next_event() else {
                 return false;
@@ -1471,9 +1579,13 @@ impl Engine {
     fn process_output(&mut self, sm: usize, out: &mut SmOutput) {
         // A freed slot, a newly queued context or a finished preemption can
         // make dispatch possible again; nothing else an SM tick produces
-        // changes dispatchability.
-        if !out.completed.is_empty() || !out.switched_out.is_empty() || out.preempt_done.is_some() {
+        // changes dispatchability. A switched-out context grows its kernel's
+        // resume queue, which any SM of that kernel may take; a freed slot
+        // or a finished preemption changes only this SM.
+        if !out.switched_out.is_empty() {
             self.mark_dispatch_dirty();
+        } else if !out.completed.is_empty() || out.preempt_done.is_some() {
+            self.mark_sm_dispatch_dirty(sm);
         }
         for e in out.effects.drain(..) {
             if let Some(r) = &self.race {
@@ -1573,29 +1685,25 @@ impl Engine {
         }
     }
 
-    fn dispatch_all(&mut self) {
-        if let Some(r) = &self.race {
-            r.state()
-                .note_shared_access(crate::race::SharedResource::Dispatcher, None, self.cycle);
-        }
-        for i in 0..self.sms.len() {
-            let Some(kid) = self.sms[i].assigned() else {
-                continue;
+    /// Hand SM `i` blocks of its assigned kernel until it is full or the
+    /// kernel has none left to dispatch.
+    fn dispatch_sm(&mut self, i: usize) {
+        let Some(kid) = self.sms[i].assigned() else {
+            return;
+        };
+        let occ = self.kernels[kid.0].occupancy;
+        let mut dispatched = false;
+        while self.sms[i].can_dispatch(kid, occ) && self.kernels[kid.0].has_dispatchable() {
+            let Some(block) = self.pop_next_block(kid, i) else {
+                break;
             };
-            let occ = self.kernels[kid.0].occupancy;
-            let mut dispatched = false;
-            while self.sms[i].can_dispatch(kid, occ) && self.kernels[kid.0].has_dispatchable() {
-                let Some(block) = self.pop_next_block(kid, i) else {
-                    break;
-                };
-                self.kernels[kid.0].outstanding += 1;
-                self.sms[i].dispatch(block, &self.kernels[kid.0].desc);
-                dispatched = true;
-            }
-            if dispatched {
-                // Wake the SM: its cached next-tick may be stale.
-                self.wake(i, self.sms[i].next_tick().min(self.cycle));
-            }
+            self.kernels[kid.0].outstanding += 1;
+            self.sms[i].dispatch(block, &self.kernels[kid.0].desc);
+            dispatched = true;
+        }
+        if dispatched {
+            // Wake the SM: its cached next-tick may be stale.
+            self.wake(i, self.sms[i].next_tick().min(self.cycle));
         }
     }
 
@@ -1958,6 +2066,9 @@ mod tests {
                     serial_ticks: 105,
                     idle_ticks: 1,
                     dispatch_sweeps: 7,
+                    // One all-SM sweep at run entry, then single-SM
+                    // sweeps after each block completion.
+                    sweep_sm_visits: 8,
                     batched_ticks: 9,
                     batched_insts: 8600,
                 },
@@ -1967,8 +2078,13 @@ mod tests {
         let (scan, scan_issued) = run(ExecMode::Scan);
         assert_eq!(scan_issued, issued);
         assert_eq!((scan.batched_ticks, scan.batched_insts), (0, 0));
-        // One sweep per loop iteration; the last iteration ends the run.
+        // One all-SM sweep per loop iteration; the last iteration ends the
+        // run.
         assert_eq!(scan.dispatch_sweeps, scan.serial_ticks + 1);
+        assert_eq!(
+            scan.sweep_sm_visits,
+            scan.dispatch_sweeps * cfg().num_sms as u64
+        );
     }
 
     #[test]
@@ -2205,6 +2321,48 @@ mod tests {
         assert!(e.kernel_stats(k).finished);
         assert_eq!(cell.value(), 0, "serial modes never commit pure ticks");
         assert!(e.race_sanitizer().expect("enabled").report().is_clean());
+    }
+
+    mod func_mem {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// Memory written on first touch materialises to the eager
+            /// image (every cell hashed at launch, then updated in place)
+            /// after every step of a random mix of pure stores, overwrites
+            /// and flush-style replays of the same effect.
+            #[test]
+            fn first_touch_image_matches_an_eager_model(
+                seed in any::<u64>(),
+                n in 1usize..300,
+                ops in proptest::collection::vec(
+                    (any::<usize>(), any::<bool>(), any::<u64>(), 1usize..4),
+                    1..120,
+                ),
+            ) {
+                let mut lazy = FuncMem::new(seed, n, 0);
+                let mut eager: Vec<u64> = (0..n).map(|i| cell_init(seed, i)).collect();
+                prop_assert_eq!(lazy.image(), eager.clone());
+                for (cell, overwrite, value, replays) in ops {
+                    let idx = cell % n;
+                    let w = if overwrite {
+                        CellWrite::Overwrite
+                    } else {
+                        CellWrite::Store(value)
+                    };
+                    for _ in 0..replays {
+                        lazy.write_cell(idx, w);
+                        eager[idx] = match w {
+                            CellWrite::Store(v) => v,
+                            CellWrite::Overwrite => overwrite_mix(eager[idx]),
+                        };
+                        prop_assert_eq!(lazy.image(), eager.clone());
+                    }
+                }
+            }
+        }
     }
 
     /// [`Engine::kernel_finish_lower_bound`] by its plain formula: one walk

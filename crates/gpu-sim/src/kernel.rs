@@ -472,6 +472,9 @@ pub enum KernelError {
     EmptyProgram,
     /// Per-block resources exceed a single SM's capacity.
     ExceedsSmResources(String),
+    /// The per-block jitter is not a finite fraction in `[0, 1)` (the
+    /// rejected value, formatted).
+    BadJitter(String),
 }
 
 impl fmt::Display for KernelError {
@@ -487,6 +490,9 @@ impl fmt::Display for KernelError {
             KernelError::EmptyProgram => write!(f, "program must contain at least one instruction"),
             KernelError::ExceedsSmResources(what) => {
                 write!(f, "per-block resources exceed SM capacity: {what}")
+            }
+            KernelError::BadJitter(j) => {
+                write!(f, "jitter must be a finite fraction in [0, 1), got {j}")
             }
         }
     }
@@ -658,7 +664,9 @@ impl KernelDescBuilder {
         self
     }
 
-    /// Set per-block execution-length jitter (e.g. `0.1` for ±10 %).
+    /// Set per-block execution-length jitter (e.g. `0.1` for ±10 %); must
+    /// be finite and in `[0, 1)`, so that every block's scale factor is
+    /// positive.
     pub fn jitter_pct(mut self, pct: f64) -> Self {
         self.jitter_pct = pct;
         self
@@ -668,8 +676,9 @@ impl KernelDescBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError`] if the geometry is invalid or the per-block
-    /// resources cannot fit on any SM of the Fermi configuration.
+    /// Returns [`KernelError`] if the geometry is invalid, the jitter is not
+    /// a finite fraction in `[0, 1)`, or the per-block resources cannot fit
+    /// on any SM of the Fermi configuration.
     pub fn build(self) -> Result<KernelDesc, KernelError> {
         if self.threads_per_block == 0 || !self.threads_per_block.is_multiple_of(32) {
             return Err(KernelError::BadThreadCount(self.threads_per_block));
@@ -679,6 +688,12 @@ impl KernelDescBuilder {
         }
         if self.program.insts_per_warp() == 0 {
             return Err(KernelError::EmptyProgram);
+        }
+        // NaN would turn every segment into one instruction, 1 or more
+        // allows zero or negative scales, and a negative value flips the
+        // draw (which `block::min_block_total` relies on being monotone).
+        if !(0.0..1.0).contains(&self.jitter_pct) {
+            return Err(KernelError::BadJitter(self.jitter_pct.to_string()));
         }
         let cfg = crate::GpuConfig::fermi();
         let regs = self.threads_per_block * self.regs_per_thread;
@@ -844,6 +859,25 @@ mod tests {
             KernelDesc::builder("x").grid_blocks(1).build().unwrap_err(),
             KernelError::EmptyProgram
         );
+    }
+
+    #[test]
+    fn builder_rejects_degenerate_jitter() {
+        let build = |j: f64| {
+            KernelDesc::builder("x")
+                .program(demo_program())
+                .jitter_pct(j)
+                .build()
+        };
+        for j in [f64::NAN, -0.1, 1.0, f64::INFINITY] {
+            assert!(
+                matches!(build(j), Err(KernelError::BadJitter(_))),
+                "jitter {j} accepted"
+            );
+        }
+        for j in [0.0, 0.35, 0.999] {
+            assert!(build(j).is_ok(), "jitter {j} rejected");
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! pure phase runs the same tick with `None`, so it has no way to touch a
 //! partition.
 
+use crate::warp::BYTES_PER_MEM_INST;
 use crate::GpuConfig;
 use std::collections::VecDeque;
 
@@ -75,6 +76,10 @@ pub struct MemPartitionStats {
 pub struct MemSubsystem {
     partitions: Vec<Partition>,
     bytes_per_cycle: f64,
+    /// `service[n]`: the service cycles of an `n × 128`-byte request, for
+    /// every size an SM issues (`n <= issue_chunk`); other sizes use the
+    /// formula (see [`MemSubsystem::service_cycles`]).
+    service: Vec<u64>,
     latency: u64,
     rr_next: usize,
     /// Shard-race sanitizer recording state, shared with the engine; `None`
@@ -85,11 +90,15 @@ pub struct MemSubsystem {
 impl MemSubsystem {
     /// Create the subsystem from a GPU configuration.
     pub fn new(cfg: &GpuConfig) -> Self {
+        let bytes_per_cycle = cfg.bytes_per_cycle_per_partition();
         MemSubsystem {
             partitions: (0..cfg.num_mem_partitions.max(1))
                 .map(|_| Partition::default())
                 .collect(),
-            bytes_per_cycle: cfg.bytes_per_cycle_per_partition(),
+            bytes_per_cycle,
+            service: (0..=u64::from(cfg.issue_chunk.max(1)))
+                .map(|n| service_formula(n * u64::from(BYTES_PER_MEM_INST), bytes_per_cycle))
+                .collect(),
             latency: cfg.mem_latency_cycles,
             rr_next: 0,
             race: None,
@@ -145,9 +154,9 @@ impl MemSubsystem {
         if let Some(race) = &self.race {
             race.note_shared_access(crate::race::SharedResource::MemPartition(idx), None, now);
         }
+        let service = self.service_cycles(bytes);
         let p = &mut self.partitions[idx];
         let start = p.free_at.max(now);
-        let service = (bytes as f64 / self.bytes_per_cycle).ceil() as u64;
         p.free_at = start + service.max(1);
         p.bytes_served += bytes;
         let done = p.free_at + self.latency;
@@ -161,6 +170,18 @@ impl MemSubsystem {
         );
         p.pending.push_back(done);
         done
+    }
+
+    /// Cycles a request of `bytes` occupies its partition (before the
+    /// one-cycle minimum): the precomputed table for the sizes SMs issue,
+    /// the formula otherwise.
+    fn service_cycles(&self, bytes: u64) -> u64 {
+        let per = u64::from(BYTES_PER_MEM_INST);
+        let n = usize::try_from(bytes / per).ok();
+        match n.and_then(|n| self.service.get(n)) {
+            Some(&s) if bytes.is_multiple_of(per) => s,
+            _ => service_formula(bytes, self.bytes_per_cycle),
+        }
     }
 
     /// Number of memory partitions.
@@ -195,6 +216,11 @@ impl MemSubsystem {
     pub fn base_latency(&self) -> u64 {
         self.latency
     }
+}
+
+/// `ceil(bytes / bytes_per_cycle)`: a request's service cycles.
+fn service_formula(bytes: u64, bytes_per_cycle: f64) -> u64 {
+    (bytes as f64 / bytes_per_cycle).ceil() as u64
 }
 
 #[cfg(test)]
@@ -242,6 +268,29 @@ mod tests {
         // Each 128 B request occupies the partition ceil(128/21.1) = 7 cycles.
         let service = last - 230;
         assert_eq!(service, 7 * 1000);
+    }
+
+    #[test]
+    fn service_table_equals_the_formula() {
+        let odd = GpuConfig {
+            num_mem_partitions: 7,
+            issue_chunk: 13,
+            ..GpuConfig::fermi()
+        };
+        for cfg in [GpuConfig::fermi(), odd] {
+            let m = MemSubsystem::new(&cfg);
+            let bpc = cfg.bytes_per_cycle_per_partition();
+            assert_ne!(bpc.fract(), 0.0, "a fractional rate exercises the ceil");
+            let formula = |bytes: u64| (bytes as f64 / bpc).ceil() as u64;
+            assert_eq!(m.service.len(), cfg.issue_chunk as usize + 1);
+            for n in 0..=u64::from(cfg.issue_chunk) {
+                assert_eq!(m.service_cycles(n * 128), formula(n * 128), "n={n}");
+            }
+            let past_table = 128 * u64::from(cfg.issue_chunk + 1);
+            for bytes in [1, 4, 127, 129, 1000, past_table, 40 * u64::from(u32::MAX)] {
+                assert_eq!(m.service_cycles(bytes), formula(bytes), "bytes={bytes}");
+            }
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub enum SharedResource {
     MemPartition(usize),
     /// A kernel's functional memory (effect application).
     FuncMem(usize),
-    /// The thread-block dispatcher: its sweep and its dirty flag.
+    /// The thread-block dispatcher: its sweeps and their pending mark.
     Dispatcher,
     /// The calendar-wake path (an SM's next-tick write).
     CalendarWake,

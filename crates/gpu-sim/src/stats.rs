@@ -122,8 +122,11 @@ pub struct WorkCounters {
     /// Committed ticks that found no ready warp, Phase-A pure ticks
     /// included.
     pub idle_ticks: u64,
-    /// All-SM dispatch sweeps.
+    /// Dispatch sweeps, all-SM and single-SM.
     pub dispatch_sweeps: u64,
+    /// SMs visited by those sweeps: the SM count for an all-SM sweep, one
+    /// for a single-SM sweep.
+    pub sweep_sm_visits: u64,
     /// Committed batched ticks (each replays several single-chunk ticks),
     /// Phase-A pure ticks included.
     pub batched_ticks: u64,

@@ -94,8 +94,9 @@ impl SyntheticKernel {
         self
     }
 
-    /// Per-block execution-time jitter (±fraction).
+    /// Per-block execution-time jitter (±fraction, 0..1).
     pub fn jitter(mut self, j: f64) -> Self {
+        assert!((0.0..1.0).contains(&j), "jitter out of range");
         self.jitter = j;
         self
     }
@@ -247,5 +248,11 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_bad_occupancy() {
         let _ = SyntheticKernel::new("x").blocks_per_sm(9);
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter out of range")]
+    fn rejects_nan_jitter() {
+        let _ = SyntheticKernel::new("x").jitter(f64::NAN);
     }
 }
