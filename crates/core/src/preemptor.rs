@@ -3,13 +3,12 @@
 //!
 //! When a kernel needs SMs, the [`Preemptor`] orders the candidates, chooses
 //! switch, drain or flush per block under the configured [`Policy`], and
-//! tracks the SMs until they are free. Its two callers, the periodic runner
-//! and [`GpuScheduler`](crate::GpuScheduler) (which also runs the
-//! multiprogrammed pairs and serving), each keep only their own rule for
-//! *who* needs SMs (reservations, ownership moves) and hand the *how* to
-//! one `Preemptor`, so decision recording, estimator-update logging, the
-//! live drain-accuracy join and the in-flight ledger behave identically
-//! across all of them.
+//! tracks the SMs until they are free. Its one caller is
+//! [`GpuScheduler`](crate::GpuScheduler), which runs every runner (periodic,
+//! multiprogrammed pairs, serving) and keeps only the rule for *who* needs
+//! SMs (priority requests, ownership moves); the *how* lives here, so
+//! decision recording, estimator-update logging, the live drain-accuracy
+//! join and the in-flight ledger behave identically across all of them.
 
 use crate::cost::{EstimatorConfig, EstimatorMode, ObsBank};
 use crate::obs::{DrainSample, DrainTracker};
@@ -47,7 +46,7 @@ pub(crate) struct Preemptor {
     policy: Policy,
     obs: ObsBank,
     drains: DrainTracker,
-    /// SM → (state, caller tag). Ordered: flush-wait polling mutates the
+    /// SM → (state, source process). Ordered: flush-wait polling mutates the
     /// engine while iterating, so a `HashMap` would leak the OS-randomized
     /// hash seed into the simulation.
     ledger: BTreeMap<usize, (InFlight, usize)>,
@@ -114,10 +113,11 @@ impl Preemptor {
     /// evicted (Chimera takes no occupied SM without one); `flush_allowed`
     /// is `false` under the strict idempotence condition for a
     /// non-idempotent kernel (§4.3), in which case Flush takes no occupied
-    /// SM. Pending SMs enter the ledger under `tag`. `on_taken` runs for
-    /// every SM taken, right after its engine-side preemption and before the
-    /// next one: callers that touch the engine there (the periodic runner
-    /// hands the SM to its task) keep one fixed order of engine operations.
+    /// SM. Pending SMs enter the ledger under their source process `src`.
+    /// `on_taken` runs for every SM taken, right after its engine-side
+    /// preemption and before the next one: a caller that touches the engine
+    /// there (a priority request hands the SM over) keeps one fixed order of
+    /// engine operations.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn preempt(
         &mut self,
@@ -126,7 +126,7 @@ impl Preemptor {
         n: usize,
         victim: Option<KernelId>,
         flush_allowed: bool,
-        tag: usize,
+        src: usize,
         mut on_taken: impl FnMut(&mut Engine, usize, Taken),
     ) {
         let mut remaining = n;
@@ -154,7 +154,7 @@ impl Preemptor {
                 };
                 for &sm in occupied.iter().take(remaining) {
                     let plan = SmPreemptPlan::uniform(engine.sm_resident_indices(sm), tech);
-                    let taken = self.execute(engine, sm, &plan, tag);
+                    let taken = self.execute(engine, sm, &plan, src);
                     on_taken(engine, sm, taken);
                 }
             }
@@ -168,7 +168,7 @@ impl Preemptor {
                     let taken = if try_flush(engine, sm) {
                         Taken::Vacated
                     } else {
-                        self.ledger.insert(sm, (InFlight::FlushWait, tag));
+                        self.ledger.insert(sm, (InFlight::FlushWait, src));
                         Taken::Pending
                     };
                     on_taken(engine, sm, taken);
@@ -209,7 +209,7 @@ impl Preemptor {
                             }
                         }
                     }
-                    let taken = self.execute(engine, plan.sm, &plan.plan, tag);
+                    let taken = self.execute(engine, plan.sm, &plan.plan, src);
                     on_taken(engine, plan.sm, taken);
                 }
             }
@@ -224,12 +224,12 @@ impl Preemptor {
         engine: &mut Engine,
         sm: usize,
         plan: &SmPreemptPlan,
-        tag: usize,
+        src: usize,
     ) -> Taken {
         match engine.preempt_sm(sm, plan) {
             Ok(true) | Err(_) => Taken::Vacated,
             Ok(false) => {
-                self.ledger.insert(sm, (InFlight::Preempting, tag));
+                self.ledger.insert(sm, (InFlight::Preempting, src));
                 Taken::Pending
             }
         }
@@ -237,12 +237,12 @@ impl Preemptor {
 
     /// Feed one engine event: block completions update the per-kernel
     /// observations and the drain join; a completed preemption of a ledger
-    /// SM returns `(sm, tag)`, now vacated.
+    /// SM returns that SM, now vacated.
     ///
     /// With the online estimator, a completion also surfaces the kernel's
     /// live estimator state to the event log at the moment its quantile
     /// becomes trusted (`min_samples`) and every 256 completions after.
-    pub(crate) fn on_event(&mut self, engine: &mut Engine, ev: &Event) -> Option<(usize, usize)> {
+    pub(crate) fn on_event(&mut self, engine: &mut Engine, ev: &Event) -> Option<usize> {
         match *ev {
             Event::TbCompleted {
                 kernel,
@@ -272,34 +272,33 @@ impl Preemptor {
                 }
                 None
             }
-            Event::PreemptionCompleted { sm, .. } => match self.ledger.get(&sm) {
-                Some(&(InFlight::Preempting, tag)) => {
-                    self.ledger.remove(&sm);
-                    Some((sm, tag))
-                }
-                _ => None,
-            },
+            Event::PreemptionCompleted { sm, .. }
+                if matches!(self.ledger.get(&sm), Some((InFlight::Preempting, _))) =>
+            {
+                self.ledger.remove(&sm);
+                Some(sm)
+            }
             _ => None,
         }
     }
 
     /// Retry every flush wait in ascending SM order; `on_vacated(engine,
-    /// sm, tag)` runs for each SM flushed, before the next one is tried.
+    /// sm)` runs for each SM flushed, before the next one is tried.
     pub(crate) fn poll_flush_waits(
         &mut self,
         engine: &mut Engine,
-        mut on_vacated: impl FnMut(&mut Engine, usize, usize),
+        mut on_vacated: impl FnMut(&mut Engine, usize),
     ) {
-        let waiting: Vec<(usize, usize)> = self
+        let waiting: Vec<usize> = self
             .ledger
             .iter()
             .filter(|(_, &(f, _))| f == InFlight::FlushWait)
-            .map(|(&sm, &(_, tag))| (sm, tag))
+            .map(|(&sm, _)| sm)
             .collect();
-        for (sm, tag) in waiting {
+        for sm in waiting {
             if try_flush(engine, sm) {
                 self.ledger.remove(&sm);
-                on_vacated(engine, sm, tag);
+                on_vacated(engine, sm);
             }
         }
     }
@@ -426,10 +425,7 @@ mod tests {
         }
         e.run_until(1_000_000);
         let mut vacated = Vec::new();
-        pre.poll_flush_waits(&mut e, |_, sm, tag| {
-            assert_eq!(tag, 9);
-            vacated.push(sm);
-        });
+        pre.poll_flush_waits(&mut e, |_, sm| vacated.push(sm));
         assert_eq!(vacated, (0..SMS).collect::<Vec<_>>());
         assert!(!pre.flush_waiting());
     }

@@ -7,18 +7,19 @@
 //! deadline when the SMs are not all handed over within the latency
 //! constraint.
 //!
-//! To keep throughput accounting fair when deadlines are missed (the paper
-//! "ignores the throughput additionally gained" by killed tasks), acquired
-//! SMs are reserved for the task's execution window even when the request was
-//! late — the benchmark never pockets bonus SM-time from violations.
+//! The benchmark is one process of a [`GpuScheduler`] and every task arrival
+//! is one priority request. To keep throughput accounting fair when
+//! deadlines are missed (the paper "ignores the throughput additionally
+//! gained" by killed tasks), acquired SMs are held for the task's execution
+//! window even when the request was late.
 
 use crate::cost::EstimatorConfig;
 use crate::obs::DrainSample;
 use crate::policy::Policy;
-use crate::preemptor::{InFlight, Preemptor, Taken};
 use crate::runner::RunCommon;
-use gpu_sim::{Engine, Event, GpuConfig, Technique};
-use std::collections::{BTreeMap, HashMap};
+use crate::scheduler::{GpuScheduler, SchedEvent};
+use gpu_sim::{Engine, GpuConfig, Technique};
+use std::collections::{HashMap, VecDeque};
 use workloads::{Benchmark, RtTask};
 
 /// Configuration for a periodic run.
@@ -31,7 +32,9 @@ pub struct PeriodicConfig {
     /// Knobs shared with every other runner; the constraint is 15 µs in
     /// Figures 6–7.
     pub common: RunCommon,
-    /// The periodic task.
+    /// The periodic task. A period that rounds to 0 cycles issues no
+    /// request; an execution time past the horizon (even infinite) holds
+    /// the task's SMs to the horizon; a request for 0 SMs is met at issue.
     pub task: RtTask,
     /// Use the strict idempotence condition for flushing decisions (§4.3).
     pub strict_idem: bool,
@@ -209,29 +212,6 @@ impl PeriodicResult {
     }
 }
 
-#[derive(Debug)]
-struct Request {
-    t: u64,
-    needed: usize,
-    acquired: usize,
-    completed_at: Option<u64>,
-    evaluated: bool,
-    task_kid: Option<gpu_sim::KernelId>,
-}
-
-/// Shared mutable run state (the SMs in flight for a request live in the
-/// [`Preemptor`]'s ledger, tagged with the request index).
-#[derive(Debug)]
-struct RunState {
-    /// SM → release cycle (reserved by the RT task). Ordered: the map is
-    /// iterated while mutating the engine, so a `HashMap` here would leak the
-    /// OS-randomized hash seed into the simulation (the hash-iter lint).
-    reserved: BTreeMap<usize, u64>,
-    /// Task kernel → SMs it occupies (only when `simulate_task` is on).
-    task_sms: HashMap<gpu_sim::KernelId, Vec<usize>>,
-    requests: Vec<Request>,
-}
-
 /// Run the periodic experiment for one benchmark under one policy.
 pub fn run_periodic(
     cfg: &GpuConfig,
@@ -275,234 +255,97 @@ pub fn run_periodic_traced(
     pcfg: &PeriodicConfig,
     event_capacity: usize,
 ) -> (PeriodicResult, Engine) {
-    let mut engine = Engine::with_seed(cfg.clone(), pcfg.common.seed);
-    engine.set_exec_mode(pcfg.common.exec_mode());
-    if event_capacity > 0 {
-        engine.enable_event_log(event_capacity);
-    }
-    if pcfg.common.sanitize {
-        engine.enable_sanitizer();
-    }
-    if pcfg.common.race_check {
-        engine.enable_race_sanitizer();
-    }
-    engine.set_break_on_kernel_finish(true);
-    engine.set_prefer_preempted(pcfg.prefer_preempted);
-    if policy.is_oracle() {
-        engine.set_free_context_moves(true);
-    }
-    let mut job = crate::runner::Job::new(bench.clone(), None);
-    job.ensure_running(&mut engine);
-    let mut st = RunState {
-        reserved: BTreeMap::new(),
-        task_sms: HashMap::new(),
-        requests: Vec::new(),
-    };
-    let mut pre = Preemptor::new(policy, pcfg.common.estimator);
+    let mut gpu = GpuScheduler::builder(cfg.clone())
+        .policy(policy)
+        .estimator(pcfg.common.estimator)
+        .seed(pcfg.common.seed)
+        .event_log(event_capacity)
+        .exec_mode(pcfg.common.exec_mode())
+        .race_check(pcfg.common.race_check)
+        .sanitize(pcfg.common.sanitize)
+        .prefer_preempted(pcfg.prefer_preempted)
+        .build();
+    let p = gpu.add_process();
+    let launches = bench.launches();
+    gpu.submit(p, launches[0].clone());
+    let task = pcfg.simulate_task.then(|| task_kernel(cfg, &pcfg.task));
     let horizon = cfg.us_to_cycles(pcfg.common.horizon_us);
     let period = pcfg.task.period_cycles(cfg);
     let exec = pcfg.task.exec_cycles(cfg);
     let constraint = cfg.us_to_cycles(pcfg.common.constraint_us);
-    let poll = cfg.us_to_cycles(0.5).max(1);
-    let mut next_request = period;
+    // A period that rounds to 0 cycles issues no request.
+    let mut next_request = if period == 0 { u64::MAX } else { period };
+    // Deadlines not yet reached, in issue order: each is a step boundary.
+    let mut open_deadlines = VecDeque::new();
+    let (mut next_launch, mut kernels) = (1, Vec::new());
 
-    while engine.cycle() < horizon {
-        // Next interesting time point.
-        let mut t_next = horizon.min(next_request);
-        if let Some(&r) = st.reserved.values().min() {
-            t_next = t_next.min(r);
-        }
-        if pre.flush_waiting() {
-            t_next = t_next.min(engine.cycle() + poll);
-        }
-        for rq in &st.requests {
-            if !rq.evaluated {
-                t_next = t_next.min(rq.t + constraint);
+    while gpu.cycle() < horizon {
+        let until = horizon
+            .min(next_request)
+            .min(open_deadlines.front().copied().unwrap_or(u64::MAX));
+        for ev in gpu.step_until(until) {
+            // Keep the next launch queued behind the running one.
+            if let SchedEvent::KernelStarted { kernel, .. } = ev {
+                kernels.push(kernel);
+                gpu.submit(p, launches[next_launch % launches.len()].clone());
+                next_launch += 1;
             }
         }
-        let t_next = t_next.max(engine.cycle() + 1);
-        let events = engine.run_until(t_next);
-        let now = engine.cycle();
-        for ev in events {
-            if let Some((sm, req_idx)) = pre.on_event(&mut engine, &ev) {
-                acquire(&mut engine, &mut st, pcfg, cfg, req_idx, sm, now, exec);
-            }
-            // A finished task kernel returns its SMs to the benchmark.
-            if let Event::KernelFinished { kernel } = ev {
-                if let Some(sms) = st.task_sms.remove(&kernel) {
-                    for sm in sms {
-                        st.reserved.remove(&sm);
-                    }
-                }
-            }
+        let now = gpu.cycle();
+        while open_deadlines.front().is_some_and(|&d| now >= d) {
+            open_deadlines.pop_front();
         }
-        // Flush policy: reset SMs the moment every resident block is safe.
-        pre.poll_flush_waits(&mut engine, |engine, sm, req_idx| {
-            acquire(engine, &mut st, pcfg, cfg, req_idx, sm, now, exec);
-        });
-        // Release expired reservations back to the benchmark.
-        st.reserved.retain(|_, &mut release| release > now);
-        // Evaluate deadline violations.
-        for rq in &mut st.requests {
-            if !rq.evaluated && now >= rq.t + constraint {
-                rq.evaluated = true;
-            }
-        }
-        // New periodic request.
         if now >= next_request && next_request < horizon {
-            issue_request(&mut engine, &mut st, &mut pre, pcfg, cfg, now, exec, &job);
-            next_request += period;
-        }
-        // Keep the benchmark running and (re)assigned to all free SMs.
-        job.ensure_running(&mut engine);
-        let current = job.current();
-        for sm in 0..cfg.num_sms {
-            if st.reserved.contains_key(&sm)
-                || matches!(pre.in_flight(sm), Some((InFlight::Preempting, _)))
-                || engine.sm_is_preempting(sm)
-            {
-                continue;
-            }
-            if engine.sm_assigned(sm) != current {
-                engine.assign_sm(sm, current);
-            }
+            gpu.reserve(
+                p,
+                pcfg.task.sms_needed,
+                exec,
+                task.clone(),
+                pcfg.strict_idem,
+            );
+            open_deadlines.push_back(now.saturating_add(constraint));
+            next_request = next_request.saturating_add(period);
         }
     }
 
-    // Final accounting.
-    let mut technique_counts: HashMap<Technique, u64> = HashMap::new();
-    for rec in engine.preempt_records() {
-        for &t in &rec.techniques {
-            *technique_counts.entry(t).or_insert(0) += 1;
-        }
+    // Final accounting. A request is met when its last SM is handed over
+    // by its deadline.
+    let (engine, requests, drain_samples) = gpu.into_parts();
+    let mut technique_counts = HashMap::new();
+    for &t in engine.preempt_records().iter().flat_map(|r| &r.techniques) {
+        *technique_counts.entry(t).or_insert(0) += 1;
     }
-    let mut violations = 0u64;
-    let mut ok_lat = Vec::new();
-    for rq in &st.requests {
-        let ok = matches!(rq.completed_at,
-            Some(done) if done <= rq.t + constraint && rq.acquired >= rq.needed);
-        if ok {
-            ok_lat.push(cfg.cycles_to_us(rq.completed_at.expect("ok implies completed") - rq.t));
-        } else {
-            violations += 1;
-        }
-    }
-    let mean_ok_latency_us =
-        (!ok_lat.is_empty()).then(|| ok_lat.iter().sum::<f64>() / ok_lat.len() as f64);
-    let request_log = st
-        .requests
+    let ok_lat: Vec<f64> = requests
         .iter()
-        .map(|rq| {
-            (
-                cfg.cycles_to_us(rq.t),
-                rq.completed_at.map(|c| cfg.cycles_to_us(c - rq.t)),
-                rq.acquired,
-            )
-        })
+        .filter_map(|rq| rq.completed_at.map(|done| done - rq.t))
+        .filter(|&lat| lat <= constraint)
+        .map(|lat| cfg.cycles_to_us(lat))
         .collect();
-    let (mut wasted_flush_insts, mut switch_count, mut flush_count) = (0u64, 0u64, 0u64);
-    for &kid in job.instances() {
-        let s = engine.kernel_stats(kid);
-        wasted_flush_insts += s.wasted_flush_insts;
-        switch_count += s.switch_count;
-        flush_count += s.flush_count;
-    }
+    let count = |n: usize| u64::try_from(n).expect("request count fits u64");
+    let stats = || kernels.iter().map(|&k| engine.kernel_stats(k));
     let result = PeriodicResult {
         policy: policy.to_string(),
         benchmark: bench.name().to_string(),
-        requests: u64::try_from(st.requests.len()).expect("request count fits u64"),
-        violations,
-        useful_insts: job.useful_insts(&engine),
+        requests: count(requests.len()),
+        violations: count(requests.len() - ok_lat.len()),
+        useful_insts: stats().map(|s| s.useful_insts()).sum(),
         technique_counts,
-        mean_ok_latency_us,
-        request_log,
-        wasted_flush_insts,
-        switch_count,
-        flush_count,
-        drain_samples: pre.into_drain_samples(),
+        mean_ok_latency_us: (!ok_lat.is_empty())
+            .then(|| ok_lat.iter().sum::<f64>() / ok_lat.len() as f64),
+        request_log: requests
+            .iter()
+            .map(|rq| {
+                let latency = rq.completed_at.map(|c| cfg.cycles_to_us(c - rq.t));
+                (cfg.cycles_to_us(rq.t), latency, rq.acquired)
+            })
+            .collect(),
+        wasted_flush_insts: stats().map(|s| s.wasted_flush_insts).sum(),
+        switch_count: stats().map(|s| s.switch_count).sum(),
+        flush_count: stats().map(|s| s.flush_count).sum(),
+        drain_samples,
     };
     super::assert_race_clean(&engine, "run_periodic");
     (result, engine)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn acquire(
-    engine: &mut Engine,
-    st: &mut RunState,
-    pcfg: &PeriodicConfig,
-    cfg: &GpuConfig,
-    req_idx: usize,
-    sm: usize,
-    now: u64,
-    exec: u64,
-) {
-    if pcfg.simulate_task {
-        // Hand the SM to a real task kernel; it is released when the kernel
-        // finishes.
-        let kid = match st.requests[req_idx].task_kid {
-            Some(k) => k,
-            None => {
-                let k = engine.launch_kernel(task_kernel(cfg, &pcfg.task));
-                st.requests[req_idx].task_kid = Some(k);
-                k
-            }
-        };
-        engine.assign_sm(sm, Some(kid));
-        st.task_sms.entry(kid).or_default().push(sm);
-        st.reserved.insert(sm, u64::MAX);
-    } else {
-        engine.assign_sm(sm, None);
-        st.reserved.insert(sm, now + exec);
-    }
-    let rq = &mut st.requests[req_idx];
-    rq.acquired += 1;
-    if rq.acquired >= rq.needed && rq.completed_at.is_none() {
-        rq.completed_at = Some(now);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn issue_request(
-    engine: &mut Engine,
-    st: &mut RunState,
-    pre: &mut Preemptor,
-    pcfg: &PeriodicConfig,
-    cfg: &GpuConfig,
-    now: u64,
-    exec: u64,
-    job: &crate::runner::Job,
-) {
-    st.requests.push(Request {
-        t: now,
-        needed: pcfg.task.sms_needed,
-        acquired: 0,
-        completed_at: None,
-        evaluated: false,
-        task_kid: None,
-    });
-    let req_idx = st.requests.len() - 1;
-    let cands = pre.candidates(engine, |sm| !st.reserved.contains_key(&sm));
-    // Flush eligibility comes from the dataflow analysis over the program's
-    // access regions; the sanitizer cross-checks its verdict dynamically
-    // when enabled. Strict condition: a non-idempotent kernel is never
-    // flushable.
-    let flush_allowed = !pcfg.strict_idem
-        || job
-            .current()
-            .is_none_or(|k| idem::analyze(engine.kernel_desc(k).program()).strict_idempotent);
-    pre.preempt(
-        engine,
-        &cands,
-        pcfg.task.sms_needed,
-        job.current(),
-        flush_allowed,
-        req_idx,
-        |engine, sm, taken| {
-            if taken == Taken::Vacated {
-                acquire(engine, st, pcfg, cfg, req_idx, sm, now, exec);
-            }
-        },
-    );
 }
 
 #[cfg(test)]
@@ -530,6 +373,48 @@ mod tests {
         assert_eq!(r.violations, r.requests, "every request must violate");
         assert_eq!(r.mean_ok_latency_us, None);
         assert!((r.violation_pct() - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn degenerate_task_configs_return_documented_results() {
+        let suite = Suite::standard();
+        let cfg = suite.config();
+        let bs = suite.require("BS");
+        let run = |task: RtTask| {
+            let pc = quick_cfg(cfg, 2_500.0).task(task);
+            run_periodic(cfg, bs, Policy::chimera_us(15.0), &pc)
+        };
+        let paper = RtTask::paper_default(cfg);
+        // A period that rounds to 0 cycles issues no request (it used to
+        // issue one every cycle and never return).
+        for period_us in [0.0, 1e-6, f64::NAN] {
+            let r = run(RtTask { period_us, ..paper });
+            assert_eq!((r.requests, r.violations), (0, 0), "period {period_us}");
+        }
+        // An endless task holds its SMs to the horizon, exactly like one
+        // that outlasts it (the release used to wrap and free them at once).
+        let endless = run(RtTask {
+            exec_us: f64::INFINITY,
+            ..paper
+        });
+        let outlasting = run(RtTask {
+            exec_us: 1e9,
+            ..paper
+        });
+        assert_eq!(endless.request_log, outlasting.request_log);
+        assert_eq!(endless.useful_insts, outlasting.useful_insts);
+        assert!(endless.useful_insts < run(paper).useful_insts);
+        // A request for 0 SMs is met at issue (it used to count as violated).
+        let none = run(RtTask {
+            sms_needed: 0,
+            ..paper
+        });
+        assert_eq!((none.requests, none.violations), (2, 0));
+        assert_eq!(none.mean_ok_latency_us, Some(0.0));
+        assert!(none
+            .request_log
+            .iter()
+            .all(|&(_, lat, n)| lat == Some(0.0) && n == 0));
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! ([`GpuScheduler::builder`]), register processes, submit kernels, and
 //! drive time forward; multitasking, spatial partitioning and collaborative
 //! preemption happen inside. It is the only kernel scheduler in the crate:
-//! the serving runners and the multiprogrammed pair runner
-//! ([`run_pair`](crate::runner::multiprog::run_pair)) all drive one.
+//! the serving runners, the multiprogrammed pair runner
+//! ([`run_pair`](crate::runner::multiprog::run_pair)) and the periodic
+//! runner ([`run_periodic`](crate::runner::periodic::run_periodic)) all
+//! drive one.
 //!
-//! The kernel scheduler keeps four rules:
+//! The kernel scheduler keeps five rules:
 //! 1. **The first pass splits evenly.** The first scheduling pass that has
 //!    processes gives SM `sm` to process `((sm + 1) * P - 1) / num_sms`: a
 //!    contiguous even split, with the remainder on the later processes
@@ -30,9 +32,15 @@
 //!    keeps running its source process's current kernel; an SM being
 //!    preempted is left to the engine.
 //! 4. **The caller owns the cadence.** One step advances the engine (at
-//!    most 0.5 µs while a flush waits) and runs one scheduling pass;
-//!    [`GpuScheduler::run_for_us`] steps every 5 µs, the pair runner every
-//!    10 µs.
+//!    most 0.5 µs while a flush waits, and never past a held SM's release)
+//!    and runs one scheduling pass; [`GpuScheduler::run_for_us`] steps every
+//!    5 µs, the pair runner every 10 µs, the periodic runner to its next
+//!    request or open deadline.
+//! 5. **A priority request holds SMs outside the partition.** It takes `n`
+//!    of a process's SMs in one request, as rule 2 does (§3.1's
+//!    higher-priority kernel), and holds each from its hand-over for an
+//!    execution window or until its task kernel finishes: unassigned (or
+//!    running the task), never moved.
 //!
 //! ```
 //! use chimera::scheduler::GpuScheduler;
@@ -64,9 +72,9 @@ use crate::cost::EstimatorConfig;
 use crate::obs::DrainSample;
 use crate::partition::{demand, PartitionPolicy};
 use crate::policy::Policy;
-use crate::preemptor::{InFlight, Preemptor};
-use gpu_sim::{Engine, Event, ExecMode, GpuConfig, KernelId, ShedReason};
-use std::collections::VecDeque;
+use crate::preemptor::{InFlight, Preemptor, Taken};
+use gpu_sim::{Engine, Event, ExecMode, GpuConfig, KernelDesc, KernelId, ShedReason};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Identifies a registered process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -146,6 +154,8 @@ pub struct GpuSchedulerBuilder {
     event_log_capacity: usize,
     exec_mode: ExecMode,
     race_check: bool,
+    sanitize: bool,
+    prefer_preempted: bool,
 }
 
 impl GpuSchedulerBuilder {
@@ -237,6 +247,18 @@ impl GpuSchedulerBuilder {
         self
     }
 
+    /// Enable the engine's dynamic flush sanitizer (default off).
+    pub(crate) fn sanitize(mut self, sanitize: bool) -> Self {
+        self.sanitize = sanitize;
+        self
+    }
+
+    /// Re-dispatch preempted blocks before fresh ones (default on).
+    pub(crate) fn prefer_preempted(mut self, prefer: bool) -> Self {
+        self.prefer_preempted = prefer;
+        self
+    }
+
     /// Build the scheduler over a fresh engine.
     pub fn build(self) -> GpuScheduler {
         let mut engine = Engine::with_seed(self.cfg, self.seed);
@@ -251,6 +273,10 @@ impl GpuSchedulerBuilder {
         if self.race_check {
             engine.enable_race_sanitizer();
         }
+        if self.sanitize {
+            engine.enable_sanitizer();
+        }
+        engine.set_prefer_preempted(self.prefer_preempted);
         let n = engine.config().num_sms;
         GpuScheduler {
             engine,
@@ -258,9 +284,26 @@ impl GpuSchedulerBuilder {
             partition: self.partition,
             procs: Vec::new(),
             owner: vec![None; n],
+            held: BTreeMap::new(),
+            requests: Vec::new(),
             events: Vec::new(),
         }
     }
+}
+
+/// A priority request (rule 5): `needed` SMs taken from one process at
+/// cycle `t`, each held for `exec` cycles from its hand-over or, with a
+/// `task` kernel, until that kernel finishes.
+#[derive(Debug)]
+pub(crate) struct PriorityRequest {
+    pub(crate) t: u64,
+    pub(crate) needed: usize,
+    pub(crate) acquired: usize,
+    /// When the `needed`-th SM was handed over.
+    pub(crate) completed_at: Option<u64>,
+    exec: u64,
+    task: Option<KernelDesc>,
+    task_kid: Option<KernelId>,
 }
 
 /// A multitasking GPU: engine + kernel scheduler (see module docs).
@@ -273,6 +316,11 @@ pub struct GpuScheduler {
     procs: Vec<ProcState>,
     /// Owning process per SM (`None` until first partition).
     owner: Vec<Option<usize>>,
+    /// SM → (priority request, release cycle); `u64::MAX` while the SM is
+    /// still being preempted or runs a task kernel. Ordered: the map is
+    /// iterated while mutating the engine.
+    held: BTreeMap<usize, (usize, u64)>,
+    requests: Vec<PriorityRequest>,
     events: Vec<SchedEvent>,
 }
 
@@ -290,6 +338,8 @@ impl GpuScheduler {
             event_log_capacity: 0,
             exec_mode: ExecMode::Event,
             race_check: false,
+            sanitize: false,
+            prefer_preempted: true,
         }
     }
 
@@ -397,24 +447,31 @@ impl GpuScheduler {
         events
     }
 
-    /// One scheduling step: advance the engine to `until` (at most 0.5 µs
-    /// while a flush waits, so the wait is polled promptly), then run one
-    /// kernel-scheduler pass. Returns the step's scheduler events. The
-    /// caller owns the cadence: [`run_for_us`](Self::run_for_us) steps every
-    /// 5 µs, the pair runner every 10 µs.
+    /// One scheduling step: advance the engine at least one cycle, to
+    /// `until` or the bound of rule 4, then run one kernel-scheduler pass.
+    /// Returns the step's scheduler events.
     pub(crate) fn step_until(&mut self, until: u64) -> Vec<SchedEvent> {
-        let until = if self.pre.flush_waiting() {
-            let poll = self.engine.config().us_to_cycles(0.5).max(1);
-            until.min(self.engine.cycle() + poll)
-        } else {
-            until
-        };
-        for ev in self.engine.run_until(until) {
-            self.pre.on_event(&mut self.engine, &ev);
+        let now = self.engine.cycle();
+        let next_release = self.held.values().map(|h| h.1).min();
+        let mut until = until.min(next_release.unwrap_or(u64::MAX));
+        if self.pre.flush_waiting() {
+            until = until.min(now + self.engine.config().us_to_cycles(0.5).max(1));
+        }
+        for ev in self.engine.run_until(until.max(now + 1)) {
+            if let Some(sm) = self.pre.on_event(&mut self.engine, &ev) {
+                hand_over(&mut self.engine, &mut self.requests, &mut self.held, sm);
+            }
             let Event::KernelFinished { kernel } = ev else {
                 continue;
             };
-            if let Some(pi) = self.procs.iter().position(|p| p.current == Some(kernel)) {
+            let is_task = |r: &PriorityRequest| r.task_kid == Some(kernel);
+            if let Some(ri) = self.requests.iter().position(is_task) {
+                // Its SMs return to their owner; one still being preempted is
+                // parked on the finished task at hand-over, to the horizon.
+                let pre = &self.pre;
+                self.held
+                    .retain(|&sm, &mut (r, _)| r != ri || pre.in_flight(sm).is_some());
+            } else if let Some(pi) = self.procs.iter().position(|p| p.current == Some(kernel)) {
                 self.procs[pi].current = None;
                 self.procs[pi].completed += 1;
                 self.events.push(SchedEvent::KernelFinished {
@@ -428,7 +485,8 @@ impl GpuScheduler {
     }
 
     /// One kernel-scheduler pass: launch queued kernels, serve flush waits,
-    /// repartition, and keep SM assignments consistent with ownership.
+    /// release expired holds, repartition, and keep SM assignments
+    /// consistent with ownership.
     fn schedule(&mut self) {
         for pi in 0..self.procs.len() {
             if self.procs[pi].current.is_none() {
@@ -446,15 +504,21 @@ impl GpuScheduler {
         if self.procs.is_empty() {
             return;
         }
-        self.pre.poll_flush_waits(&mut self.engine, |_, _, _| {});
+        let (requests, held) = (&mut self.requests, &mut self.held);
+        self.pre.poll_flush_waits(&mut self.engine, |engine, sm| {
+            hand_over(engine, requests, held, sm)
+        });
+        let now = self.engine.cycle();
+        self.held.retain(|_, &mut (_, release)| release > now);
         self.repartition();
         // Assignment pass. A flush-waiting SM keeps running its source
-        // process's kernel until the flush lands; a preempting one is left
-        // to the engine.
+        // process's kernel until the flush lands; a preempting or held one
+        // is left alone.
         for sm in 0..self.owner.len() {
             let want = match self.pre.in_flight(sm) {
                 Some((InFlight::Preempting, _)) => continue,
                 Some((InFlight::FlushWait, src)) => self.procs[src].current,
+                None if self.held.contains_key(&sm) => continue,
                 None => self.owner[sm].and_then(|pi| self.procs[pi].current),
             };
             if !self.engine.sm_is_preempting(sm) && self.engine.sm_assigned(sm) != want {
@@ -506,17 +570,15 @@ impl GpuScheduler {
     /// ranks every candidate with Algorithm 1). Returns how many SMs
     /// changed owner.
     fn move_sms(&mut self, src: usize, dst: usize, n: usize) -> usize {
+        let (cands, victim) = self.candidates(src);
         let owner = &mut self.owner;
-        let cands = self
-            .pre
-            .candidates(&self.engine, |sm| owner[sm] == Some(src));
         let events = &mut self.events;
         let mut moved = 0;
         self.pre.preempt(
             &mut self.engine,
             &cands,
             n,
-            self.procs[src].current,
+            victim,
             true,
             src,
             |_, sm, _| {
@@ -529,6 +591,97 @@ impl GpuScheduler {
             },
         );
         moved
+    }
+
+    /// `src`'s SMs that may be preempted (owned, not held, not in flight)
+    /// in the policy's order, and `src`'s current kernel as the victim.
+    fn candidates(&self, src: usize) -> (Vec<usize>, Option<KernelId>) {
+        let cands = self.pre.candidates(&self.engine, |sm| {
+            self.owner[sm] == Some(src) && !self.held.contains_key(&sm)
+        });
+        (cands, self.procs[src].current)
+    }
+
+    /// Issue a priority request (rule 5) for `n` of `from`'s SMs, held for
+    /// `exec` cycles or while `task` runs. Idle SMs are handed over at once,
+    /// the others when their preemption completes; a request for 0 SMs is
+    /// met at issue. `strict_idem` never flushes a non-idempotent victim.
+    pub(crate) fn reserve(
+        &mut self,
+        from: ProcId,
+        n: usize,
+        exec: u64,
+        task: Option<KernelDesc>,
+        strict_idem: bool,
+    ) {
+        let now = self.engine.cycle();
+        let ri = self.requests.len();
+        self.requests.push(PriorityRequest {
+            t: now,
+            needed: n,
+            acquired: 0,
+            completed_at: (n == 0).then_some(now),
+            exec,
+            task,
+            task_kid: None,
+        });
+        let (cands, victim) = self.candidates(from.0);
+        let flush_allowed = !strict_idem
+            || victim.is_none_or(|k| {
+                idem::analyze(self.engine.kernel_desc(k).program()).strict_idempotent
+            });
+        let (requests, held) = (&mut self.requests, &mut self.held);
+        self.pre.preempt(
+            &mut self.engine,
+            &cands,
+            n,
+            victim,
+            flush_allowed,
+            from.0,
+            |engine, sm, taken| {
+                held.insert(sm, (ri, u64::MAX));
+                if taken == Taken::Vacated {
+                    hand_over(engine, requests, held, sm);
+                }
+            },
+        );
+    }
+
+    /// Dismantle the scheduler into its engine, its priority requests (in
+    /// issue order) and the drain-accuracy join.
+    pub(crate) fn into_parts(self) -> (Engine, Vec<PriorityRequest>, Vec<DrainSample>) {
+        (self.engine, self.requests, self.pre.into_drain_samples())
+    }
+}
+
+/// Hand a vacated SM to the priority request holding it, if any: run the
+/// request's task kernel on it (launched at the first hand-over) or leave
+/// it empty until its release, and count the acquisition now.
+fn hand_over(
+    engine: &mut Engine,
+    requests: &mut [PriorityRequest],
+    held: &mut BTreeMap<usize, (usize, u64)>,
+    sm: usize,
+) {
+    let Some(&(ri, _)) = held.get(&sm) else {
+        return;
+    };
+    let rq = &mut requests[ri];
+    let now = engine.cycle();
+    let release = if let Some(desc) = &rq.task {
+        let kid = *rq
+            .task_kid
+            .get_or_insert_with(|| engine.launch_kernel(desc.clone()));
+        engine.assign_sm(sm, Some(kid));
+        u64::MAX
+    } else {
+        engine.assign_sm(sm, None);
+        now.saturating_add(rq.exec)
+    };
+    held.insert(sm, (ri, release));
+    rq.acquired += 1;
+    if rq.acquired >= rq.needed && rq.completed_at.is_none() {
+        rq.completed_at = Some(now);
     }
 }
 
@@ -752,6 +905,93 @@ mod tests {
         gpu.run_for_us(5.0);
         let want: Vec<Option<usize>> = (0..n).map(|sm| Some(usize::from(sm >= n / 2))).collect();
         assert_eq!(gpu.owner, want);
+    }
+
+    #[test]
+    fn priority_requests_hold_their_sms_outside_the_partition() {
+        let cfg = GpuConfig {
+            num_sms: 4,
+            ..GpuConfig::fermi()
+        };
+        let mut gpu = GpuScheduler::builder(cfg).policy(Policy::Switch).build();
+        let p = gpu.add_process();
+        gpu.submit(p, kernel("long", 4_000, 20_000));
+        gpu.step_until(1);
+        let long = gpu.procs[p.0].current.expect("launched");
+        let held_by = |gpu: &GpuScheduler, ri: usize| -> Vec<usize> {
+            gpu.held
+                .iter()
+                .filter(|(_, h)| h.0 == ri)
+                .map(|(&sm, _)| sm)
+                .collect()
+        };
+
+        // Nothing is dispatched yet: an idle SM is handed over at issue.
+        let (t0, exec) = (gpu.cycle(), 50_000);
+        gpu.reserve(p, 1, exec, None, false);
+        assert_eq!(gpu.requests[0].completed_at, Some(t0));
+        assert_eq!(held_by(&gpu, 0), [0]);
+        // It stays unassigned through every pass and returns at its release.
+        while gpu.cycle() < t0 + exec {
+            assert_eq!(gpu.engine().sm_assigned(0), None);
+            gpu.step_until(gpu.cycle() + 7_000);
+        }
+        assert_eq!(gpu.cycle(), t0 + exec, "a step ends at the release");
+        assert_eq!(gpu.engine().sm_assigned(0), Some(long));
+        assert!(gpu.held.is_empty());
+
+        // An occupied SM is handed over only when its switch completes.
+        gpu.step_until(gpu.cycle() + 2_000);
+        assert!((0..4).all(|sm| gpu.engine().sm_resident_count(sm) > 0));
+        gpu.reserve(p, 1, exec, None, false);
+        let [sm] = held_by(&gpu, 1)[..] else {
+            panic!("one SM held")
+        };
+        while gpu.engine().sm_is_preempting(sm) {
+            assert_eq!(gpu.requests[1].acquired, 0);
+            gpu.step_until(gpu.cycle() + 500);
+        }
+        let rq = &gpu.requests[1];
+        assert_eq!((rq.acquired, rq.completed_at), (1, Some(gpu.cycle())));
+        assert!(rq.t < gpu.cycle());
+
+        // With a task kernel the held SM runs it until it finishes.
+        gpu.reserve(p, 1, 0, Some(kernel("task", 8, 200)), false);
+        let [task_sm] = held_by(&gpu, 2)[..] else {
+            panic!("one SM held")
+        };
+        while gpu.requests[2].acquired == 0 {
+            gpu.step_until(gpu.cycle() + 500);
+        }
+        let task = gpu.requests[2].task_kid.expect("task launched");
+        while !gpu.engine().kernel_stats(task).finished {
+            assert_eq!(gpu.engine().sm_assigned(task_sm), Some(task));
+            gpu.step_until(gpu.cycle() + 5_000);
+        }
+        assert!(held_by(&gpu, 2).is_empty());
+        assert_eq!(gpu.engine().sm_assigned(task_sm), Some(long));
+
+        // A repartition never takes a held SM.
+        gpu.reserve(p, 1, 10_000_000, None, false);
+        let [kept] = held_by(&gpu, 3)[..] else {
+            panic!("one SM held")
+        };
+        let q = gpu.add_process();
+        gpu.submit(q, kernel("newcomer", 4_000, 20_000));
+        let mut moved = Vec::new();
+        for _ in 0..200 {
+            for ev in gpu.step_until(gpu.cycle() + 1_000) {
+                if let SchedEvent::SmReassigned { sm, to } = ev {
+                    if to == q {
+                        moved.push(sm);
+                    }
+                }
+            }
+        }
+        assert_eq!(moved.len(), 2, "{moved:?}");
+        assert!(!moved.contains(&kept));
+        assert_eq!(gpu.owner[kept], Some(p.0));
+        assert_eq!(gpu.engine().sm_assigned(kept), None);
     }
 
     #[test]

@@ -53,9 +53,14 @@ impl SyntheticKernel {
         }
     }
 
-    /// Target block execution time at full occupancy, µs.
+    /// Target block execution time at full occupancy, µs (positive and
+    /// finite; [`build`](Self::build) also rejects a time too long for a
+    /// `u32` instruction count per warp).
     pub fn block_time_us(mut self, us: f64) -> Self {
-        assert!(us > 0.0, "block time must be positive");
+        assert!(
+            us > 0.0 && us.is_finite(),
+            "block time must be positive and finite"
+        );
         self.block_time_us = us;
         self
     }
@@ -111,6 +116,12 @@ impl SyntheticKernel {
     pub fn build(&self, cfg: &GpuConfig) -> KernelDesc {
         let eff = self.blocks_per_sm.min(self.grid_blocks);
         let total = crate::solve::solve_insts_per_warp(cfg, self.block_time_us, eff);
+        // The solver saturates at `u32::MAX` rather than wrap.
+        assert!(
+            total < u32::MAX,
+            "block time of {} us needs too many instructions per warp",
+            self.block_time_us
+        );
         let mem = ((f64::from(total) * self.memory_fraction) as u32).max(2);
         let loads = mem / 2;
         let stores = (mem - loads).max(1);
@@ -248,6 +259,18 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_bad_occupancy() {
         let _ = SyntheticKernel::new("x").blocks_per_sm(9);
+    }
+
+    #[test]
+    #[should_panic(expected = "block time must be positive and finite")]
+    fn rejects_infinite_block_time() {
+        let _ = SyntheticKernel::new("x").block_time_us(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs too many instructions per warp")]
+    fn rejects_block_time_whose_instruction_count_saturates() {
+        let _ = SyntheticKernel::new("x").block_time_us(1e12).build(&cfg());
     }
 
     #[test]
