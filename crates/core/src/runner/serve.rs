@@ -123,12 +123,22 @@ impl ArrivalProcess {
 
     /// Generate the sorted arrival times (µs, strictly within the horizon)
     /// for the given seed.
+    ///
+    /// Degenerate inputs give no arrivals, never a hang: a horizon that is
+    /// not finite, a Poisson rate or diurnal mean that is NaN, infinite or
+    /// `<= 0`, and a bursty process with a NaN, infinite or negative state
+    /// rate, with no positive one, or with a NaN or non-positive mean
+    /// sojourn (whose states would flip every 1e-9 µs).
     pub fn generate(&self, seed: u64, horizon_us: f64) -> Vec<f64> {
         let mut out = Vec::new();
+        if !horizon_us.is_finite() {
+            return out;
+        }
+        let usable = |rate: f64| rate.is_finite() && rate > 0.0;
         match *self {
             ArrivalProcess::Poisson { rate_per_ms } => {
                 let rate = rate_per_ms / 1_000.0;
-                if rate <= 0.0 {
+                if !usable(rate) {
                     return out;
                 }
                 let mut t = 0.0;
@@ -149,6 +159,12 @@ impl ArrivalProcess {
             } => {
                 let rates = [calm_per_ms / 1_000.0, burst_per_ms / 1_000.0];
                 let sojourns = [mean_calm_us, mean_burst_us];
+                if !rates.iter().all(|&r| usable(r) || r == 0.0)
+                    || !rates.into_iter().any(usable)
+                    || !sojourns.iter().all(|&m| m > 0.0)
+                {
+                    return out;
+                }
                 let mut t = 0.0;
                 let mut state = 0usize;
                 let mut gap_ctr = 0u64;
@@ -193,7 +209,7 @@ impl ArrivalProcess {
                 let mean = mean_per_ms / 1_000.0;
                 let amp = relative_amplitude.clamp(0.0, 1.0);
                 let max_rate = mean * (1.0 + amp);
-                if max_rate <= 0.0 {
+                if !usable(max_rate) {
                     return out;
                 }
                 let mut t = 0.0;
@@ -593,6 +609,47 @@ mod tests {
         let a = p.generate(11, 100_000.0);
         assert_sorted_within(&a, 100_000.0);
         assert!((280..520).contains(&a.len()), "n={}", a.len());
+    }
+
+    /// Rates and horizons that would never end the generator loop (a NaN
+    /// time, zero gaps, an endless horizon) give no arrivals instead.
+    #[test]
+    fn degenerate_rates_and_horizons_give_no_arrivals() {
+        let bursty = |calm_per_ms, burst_per_ms| ArrivalProcess::Bursty {
+            calm_per_ms,
+            burst_per_ms,
+            mean_calm_us: 100.0,
+            mean_burst_us: 100.0,
+        };
+        let diurnal = |mean_per_ms| ArrivalProcess::Diurnal {
+            mean_per_ms,
+            relative_amplitude: 0.5,
+            period_us: 1_000.0,
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            for p in [ArrivalProcess::poisson(bad), diurnal(bad), bursty(bad, bad)] {
+                assert_eq!(p.generate(1, 1_000.0), Vec::<f64>::new(), "{p:?}");
+            }
+        }
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            assert_eq!(bursty(1.0, bad).generate(1, 1_000.0), Vec::<f64>::new());
+        }
+        for bad in [f64::NAN, 0.0, -1.0] {
+            let p = ArrivalProcess::Bursty {
+                calm_per_ms: 1.0,
+                burst_per_ms: 2.0,
+                mean_calm_us: bad,
+                mean_burst_us: 100.0,
+            };
+            assert_eq!(p.generate(1, 1_000.0), Vec::<f64>::new(), "{p:?}");
+        }
+        // A silent calm state is a legal burst-only process.
+        assert!(!bursty(0.0, 50.0).generate(1, 1_000.0).is_empty());
+        for horizon in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for p in [ArrivalProcess::poisson(1.0), diurnal(1.0), bursty(1.0, 2.0)] {
+                assert_eq!(p.generate(1, horizon), Vec::<f64>::new(), "{p:?}");
+            }
+        }
     }
 
     #[test]

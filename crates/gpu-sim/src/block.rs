@@ -1,4 +1,11 @@
-//! Thread-block execution state.
+//! Thread-block state.
+//!
+//! A [`BlockRun`] is a resident block's block-level state: its identity,
+//! jitter-scaled segment lengths and their total, instruction and cycle
+//! counts across residencies, idempotence flag, context-load stall and
+//! counts of its warps parked at the barrier and done. The warps themselves
+//! live in the SM's slot tables (see [`crate::sm`]). A [`TbSnapshot`] is a
+//! switched-out block: the block-level state plus a copy of its warps.
 
 use crate::kernel::{KernelDesc, Segment};
 use crate::rng::{hash_combine, splitmix64, unit_f64};
@@ -30,14 +37,25 @@ pub struct BlockStats {
     pub elapsed_cycles: u64,
 }
 
-/// A thread block resident on an SM.
+/// A thread block resident on an SM: the block-level state only.
+///
+/// The block's warps live in the SM's warp table, in slot order beside the
+/// tables derived from them (see [`crate::sm`]); a block carries warps only
+/// between a context restore and its dispatch.
 #[derive(Debug, Clone)]
 pub struct BlockRun {
     /// The block's identity.
     pub id: BlockId,
     /// Jitter-scaled instruction count for every program segment.
     scaled_segs: Vec<u32>,
-    warps: Vec<Warp>,
+    /// Warp instructions the whole block executes: the scaled segment
+    /// lengths summed, times the warps per block. Neither changes after
+    /// creation, so it is computed once.
+    total_insts: u64,
+    /// The warps of a restored context, which [`Sm::dispatch`](crate::Sm::dispatch)
+    /// moves into the SM's warp table; empty for a fresh block (every warp
+    /// starts at the top of the program) and once dispatched.
+    saved_warps: Vec<Warp>,
     /// Cycle at which the block was (re-)dispatched onto its current SM.
     pub dispatched_at: u64,
     /// Instructions issued before the current residency (restored context).
@@ -69,6 +87,8 @@ pub struct TbSnapshot {
     pub id: BlockId,
     pub(crate) scaled_segs: Vec<u32>,
     pub(crate) warps: Vec<Warp>,
+    /// The block's [`BlockRun::total_insts`], carried across the switch.
+    pub(crate) total_insts: u64,
     pub(crate) insts: u64,
     pub(crate) cycles: u64,
     pub(crate) past_idem_point: bool,
@@ -180,12 +200,13 @@ fn scaled_len(s: &Segment, factor: f64) -> u32 {
 impl BlockRun {
     /// Create a fresh block run starting from the beginning of the program.
     pub fn new(id: BlockId, desc: &KernelDesc, seed: u64, now: u64) -> Self {
-        let scaled = scaled_segments(desc, seed, id.index);
-        let warps = (0..desc.warps_per_block()).map(Warp::new).collect();
+        let scaled_segs = scaled_segments(desc, seed, id.index);
+        let per_warp: u64 = scaled_segs.iter().map(|&n| u64::from(n)).sum();
         BlockRun {
             id,
-            scaled_segs: scaled,
-            warps,
+            total_insts: per_warp.saturating_mul(u64::from(desc.warps_per_block())),
+            scaled_segs,
+            saved_warps: Vec::new(),
             dispatched_at: now,
             prior_insts: 0,
             prior_cycles: 0,
@@ -203,22 +224,12 @@ impl BlockRun {
     /// `ready_at` is the cycle at which the context load completes; warps may
     /// not issue before it.
     pub fn from_snapshot(snap: TbSnapshot, now: u64, ready_at: u64) -> Self {
-        let warps = snap
-            .warps
-            .into_iter()
-            .map(|mut w| {
-                // In-flight memory operations were drained before the save.
-                if matches!(w.phase, WarpPhase::WaitMem(_)) {
-                    w.phase = WarpPhase::Ready;
-                }
-                w
-            })
-            .collect::<Vec<Warp>>();
-        let (parked, done) = phase_counts(&warps);
+        let (parked, done) = phase_counts(&snap.warps);
         BlockRun {
             id: snap.id,
             scaled_segs: snap.scaled_segs,
-            warps,
+            total_insts: snap.total_insts,
+            saved_warps: snap.warps,
             dispatched_at: now,
             prior_insts: snap.insts,
             prior_cycles: snap.cycles,
@@ -231,12 +242,14 @@ impl BlockRun {
         }
     }
 
-    /// Snapshot the block for a context switch at cycle `now`.
-    pub fn snapshot(&self, now: u64) -> TbSnapshot {
+    /// Snapshot the block, whose warps are `warps` (its slot range of the
+    /// SM's warp table), for a context switch at cycle `now`.
+    pub(crate) fn snapshot(&self, now: u64, warps: &[Warp]) -> TbSnapshot {
         TbSnapshot {
             id: self.id,
             scaled_segs: self.scaled_segs.clone(),
-            warps: self.warps.clone(),
+            warps: warps.to_vec(),
+            total_insts: self.total_insts,
             insts: self.issued_insts(),
             cycles: self.elapsed_cycles(now),
             past_idem_point: self.past_idem_point,
@@ -248,52 +261,20 @@ impl BlockRun {
         &self.scaled_segs
     }
 
-    /// Mutable access to the block's warps (SM internals).
-    pub(crate) fn warps_mut(&mut self) -> &mut [Warp] {
-        &mut self.warps
+    /// Take the warps of a restored context (empty for a fresh block).
+    pub(crate) fn take_saved_warps(&mut self) -> Vec<Warp> {
+        std::mem::take(&mut self.saved_warps)
     }
 
-    /// The earliest cycle at which warp `w` could issue, counting the
-    /// block's context-load stall; `u64::MAX` at a barrier or when done.
-    /// This is the SM's `ready_at` slot-table entry.
+    /// Count a warp of this block entering `phase` after a committed
+    /// single-chunk issue: a barrier arrival or a finished warp.
     #[inline]
-    pub(crate) fn ready_at(&self, w: usize) -> u64 {
-        self.warps[w]
-            .next_ready_at()
-            .map_or(u64::MAX, |t| t.max(self.warm_up_until))
-    }
-
-    /// Instructions left in warp `w`'s steady segment (see
-    /// [`Warp::steady_compute_rem`]), `0` when its next issue is not
-    /// steady. This is the SM's `steady_rem` slot-table entry.
-    #[inline]
-    pub(crate) fn steady_rem(&self, w: usize, segments: &[Segment]) -> u32 {
-        self.warps[w]
-            .steady_compute_rem(segments, &self.scaled_segs)
-            .unwrap_or(0)
-    }
-
-    /// Book `insts` steady instructions for warp `w` (the batched issue:
-    /// no segment completes, so the warp only advances within its
-    /// segment).
-    #[inline]
-    pub(crate) fn issue_steady(&mut self, w: usize, insts: u32) {
-        let warp = &mut self.warps[w];
-        warp.phase = WarpPhase::Ready;
-        warp.done_in_seg += insts;
-        self.add_insts(insts);
-    }
-
-    /// Store warp `w`'s state after a committed single-chunk issue,
-    /// counting a barrier arrival or a finished warp.
-    #[inline]
-    pub(crate) fn commit_warp(&mut self, w: usize, warp: Warp) {
-        match warp.phase {
+    pub(crate) fn note_phase(&mut self, phase: WarpPhase) {
+        match phase {
             WarpPhase::AtBarrier => self.parked += 1,
             WarpPhase::Done => self.done += 1,
             _ => {}
         }
-        self.warps[w] = warp;
     }
 
     /// Warps parked at the barrier.
@@ -302,27 +283,52 @@ impl BlockRun {
         self.parked
     }
 
-    /// Whether every warp but one has finished, so that one finishing
-    /// completes the block.
+    /// Whether every warp but one of the block's `wpb` has finished, so that
+    /// one finishing completes the block.
     #[inline]
-    pub(crate) fn one_warp_left(&self) -> bool {
-        self.done as usize + 1 == self.warps.len()
+    pub(crate) fn one_warp_left(&self, wpb: usize) -> bool {
+        self.done as usize + 1 == wpb
     }
 
-    /// Whether the phase counts equal a recount of the warps (the SM's
-    /// table oracle).
-    pub(crate) fn phase_counts_are_exact(&self) -> bool {
-        phase_counts(&self.warps) == (self.parked, self.done)
+    /// Whether every unfinished warp of the block's `wpb` is parked at the
+    /// barrier (release time), read from the block's phase counts.
+    #[inline]
+    pub(crate) fn barrier_ready(&self, wpb: usize) -> bool {
+        self.parked > 0 && (self.parked + self.done) as usize == wpb
     }
 
-    /// The block's warps.
-    pub fn warps(&self) -> &[Warp] {
-        &self.warps
+    /// Count the release of every parked warp (the SM moves the warps
+    /// past the barrier).
+    pub(crate) fn release_parked(&mut self) {
+        self.parked = 0;
+    }
+
+    /// Whether the phase counts equal a recount of `warps`, the block's
+    /// slot range, and the instructions issued equal the progress of those
+    /// warps through the program (the SM's table oracle).
+    pub(crate) fn agrees_with(&self, warps: &[Warp]) -> bool {
+        let progress: u64 = warps
+            .iter()
+            .map(|w| {
+                let before: u64 = self.scaled_segs[..w.seg_idx]
+                    .iter()
+                    .map(|&n| u64::from(n))
+                    .sum();
+                before + u64::from(w.done_in_seg)
+            })
+            .sum();
+        phase_counts(warps) == (self.parked, self.done) && progress == self.issued_insts()
     }
 
     /// Total warp instructions issued so far (including prior residencies).
     pub fn issued_insts(&self) -> u64 {
         self.prior_insts + self.insts_this_residency
+    }
+
+    /// Whether the block issued instructions in an earlier residency (a
+    /// restored context that had made progress).
+    pub(crate) fn has_prior_progress(&self) -> bool {
+        self.prior_insts > 0
     }
 
     /// Total cycles the block has been resident as of `now`.
@@ -331,36 +337,14 @@ impl BlockRun {
     }
 
     /// Record `n` issued instructions.
-    pub(crate) fn add_insts(&mut self, n: u32) {
-        self.insts_this_residency += u64::from(n);
+    #[inline]
+    pub(crate) fn add_insts(&mut self, n: u64) {
+        self.insts_this_residency += n;
     }
 
     /// Total instructions this block will execute (jitter-scaled).
     pub fn total_insts(&self) -> u64 {
-        let per_warp: u64 = self.scaled_segs.iter().map(|&n| u64::from(n)).sum();
-        per_warp * self.warps.len() as u64
-    }
-
-    /// Whether every warp finished the program.
-    pub fn all_done(&self) -> bool {
-        self.warps.iter().all(|w| w.phase == WarpPhase::Done)
-    }
-
-    /// Whether every unfinished warp is parked at the barrier (release
-    /// time), read from the block's phase counts.
-    #[inline]
-    pub fn barrier_ready(&self) -> bool {
-        self.parked > 0 && (self.parked + self.done) as usize == self.warps.len()
-    }
-
-    /// Release all warps parked at the barrier.
-    pub fn release_barrier(&mut self) {
-        for w in &mut self.warps {
-            if w.phase == WarpPhase::AtBarrier {
-                w.release_barrier();
-            }
-        }
-        self.parked = 0;
+        self.total_insts
     }
 }
 
@@ -502,45 +486,33 @@ mod tests {
         let mut b = BlockRun::new(bid(5), &d, 1, 0);
         b.add_insts(77);
         b.past_idem_point = true;
-        let snap = b.snapshot(500);
+        let warps = [Warp::new(0), Warp::new(1)];
+        let snap = b.snapshot(500, &warps);
+        assert_eq!(snap.warps, warps);
         let restored = BlockRun::from_snapshot(snap, 1000, 1200);
         assert_eq!(restored.issued_insts(), 77);
         assert_eq!(restored.elapsed_cycles(1000), 500);
+        assert_eq!(restored.total_insts(), b.total_insts());
         assert!(restored.past_idem_point);
         assert_eq!(restored.warm_up_until, 1200);
         assert_eq!(restored.id, bid(5));
     }
 
     #[test]
-    fn snapshot_clears_memory_waits() {
-        let d = desc(0.0);
-        let mut b = BlockRun::new(bid(0), &d, 1, 0);
-        b.warps_mut()[0].stall_until(10_000);
-        let restored = BlockRun::from_snapshot(b.snapshot(100), 200, 200);
-        assert!(restored.warps()[0].is_ready(200));
-    }
-
-    #[test]
     fn barrier_release_requires_all_warps() {
         let d = desc(0.0);
+        let wpb = d.warps_per_block() as usize;
         let mut b = BlockRun::new(bid(0), &d, 1, 0);
-        let segs = d.program().segments().to_vec();
-        let scaled = b.scaled_segs().to_vec();
-        // Drive warp `w` to the barrier, committing each issue as the SM
-        // does.
-        let park = |b: &mut BlockRun, w: usize| loop {
-            let mut warp = b.warps()[w];
-            let o = warp.issue(&segs, &scaled, 32);
-            b.commit_warp(w, warp);
-            if o.hit_barrier {
-                break;
-            }
-        };
-        park(&mut b, 0);
-        assert!(!b.barrier_ready(), "warp 1 still running");
-        park(&mut b, 1);
-        assert!(b.barrier_ready());
-        b.release_barrier();
-        assert!(b.warps().iter().all(|w| w.is_ready(0)));
+        b.note_phase(WarpPhase::AtBarrier);
+        assert!(!b.barrier_ready(wpb), "warp 1 still running");
+        b.note_phase(WarpPhase::AtBarrier);
+        assert!(b.barrier_ready(wpb));
+        b.release_parked();
+        assert!(!b.barrier_ready(wpb));
+        // A finished warp does not hold the barrier.
+        b.note_phase(WarpPhase::Done);
+        assert!(b.one_warp_left(wpb));
+        b.note_phase(WarpPhase::AtBarrier);
+        assert!(b.barrier_ready(wpb));
     }
 }

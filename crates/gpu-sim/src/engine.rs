@@ -1559,13 +1559,7 @@ impl Engine {
                 rem_max = rem_max.max(k.min_block_total);
             }
             for snap in &k.resume_queue {
-                let total = snap
-                    .scaled_segs
-                    .iter()
-                    .map(|&n| u64::from(n))
-                    .sum::<u64>()
-                    .saturating_mul(snap.warps.len() as u64);
-                rem_max = rem_max.max(total.saturating_sub(snap.insts));
+                rem_max = rem_max.max(snap.total_insts.saturating_sub(snap.insts));
             }
             let issue_time = interval.saturating_mul(rem_max.saturating_sub(chunk));
             lb = lb.min(base.saturating_add(issue_time));

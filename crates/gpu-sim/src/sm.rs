@@ -12,15 +12,16 @@
 //!
 //! Every resident warp is a *slot*, numbered block-major: slot
 //! `s = b · wpb + w` is warp `w` of the `b`-th resident block (all resident
-//! blocks belong to one kernel, so warps-per-block `wpb` is uniform). Two
-//! flat per-slot tables mirror the warp state the tick's hot loops read, so
-//! warp selection and the batched issue scan contiguous arrays instead of
-//! walking every block's warps:
+//! blocks belong to one kernel, so warps-per-block `wpb` is uniform). The SM
+//! owns all per-warp state in three flat per-slot tables, so warp selection,
+//! the batched issue and its commit scan contiguous arrays:
 //!
-//! - `ready_at[s]`: `BlockRun::ready_at`, the earliest cycle the warp could
+//! - `warps[s]`: the [`Warp`] itself, the only copy of its state (a
+//!   [`BlockRun`] holds block-level state only);
+//! - `ready_at[s]`: derived from the warp, the earliest cycle it could
 //!   issue, counting its block's context-load stall, and `u64::MAX` at a
 //!   barrier or when done;
-//! - `steady_rem[s]`: `BlockRun::steady_rem`, the instructions left in a
+//! - `steady_rem[s]`: derived from the warp, the instructions left in a
 //!   steady compute/shared segment, and `0` when the next issue is not
 //!   steady.
 //!
@@ -31,21 +32,27 @@
 //! - the barrier release that opens every unhalted tick (the released
 //!   block's range);
 //! - a committed batch (each slot it issued from);
-//! - [`Sm::dispatch`], which appends the block's range;
+//! - [`Sm::dispatch`], which appends the block's range: fresh warps, or the
+//!   warps of a restored context with their memory waits cleared;
 //! - the flush in [`Sm::begin_preempt`] and the switch-out at the end of a
-//!   context save, which compact the tables with the blocks they keep.
+//!   context save, which compact the tables with the blocks they keep (a
+//!   switched-out block's snapshot copies its warp range).
 //!
 //! A tick that reports an interaction without the memory subsystem (see
-//! [`Sm::tick_bounded`]) writes neither table, except through the barrier
+//! [`Sm::tick_bounded`]) writes no table, except through the barrier
 //! release it keeps. With debug assertions on, every tick checks at entry
-//! and exit that both tables, the per-block parked/done warp counts and
-//! the SM's parked-warp total equal a recomputation from the blocks.
+//! and exit that the tables agree with each other and with the blocks (see
+//! `Sm::table_drift`): their lengths, each warp's index, both derived
+//! tables recomputed from the warps, every block's parked/done warp counts
+//! and issued instructions recounted from its warps, and the SM's
+//! parked-warp total.
 
 use crate::block::{BlockRun, TbSnapshot};
 use crate::kernel::{KernelDesc, Segment};
 use crate::mem::MemSubsystem;
 use crate::preempt::{SmPreemptPlan, Technique};
 use crate::rng::{hash_combine, splitmix64};
+use crate::warp::{Warp, WarpPhase};
 use crate::{BlockId, GpuConfig, KernelId};
 
 /// Coarse operating mode of an SM (for reporting).
@@ -195,7 +202,9 @@ pub struct Sm {
     rr: usize,
     last_slot: Option<usize>,
     sched: crate::config::WarpSched,
-    l1_hit_fraction: f64,
+    /// [`l1_hit_threshold`] of the configured L1 hit fraction: an access
+    /// hits when the top 53 bits of its hash fall below it.
+    l1_hit_below: u64,
     l1_latency: u64,
     l1_hits: u64,
     l1_misses: u64,
@@ -209,12 +218,13 @@ pub struct Sm {
     /// Warps per resident block, the stride of the slot tables: slot
     /// `s = b · wpb + w` is warp `w` of `blocks[b]`.
     wpb: usize,
-    /// Per slot: [`BlockRun::ready_at`], the earliest cycle the warp could
+    /// Per slot: the warp itself, the one copy of its state.
+    warps: Vec<Warp>,
+    /// Per slot: [`slot_ready_at`], the earliest cycle the warp could
     /// issue (`u64::MAX` at a barrier or when done).
     ready_at: Vec<u64>,
-    /// Per slot: [`BlockRun::steady_rem`], the instructions left in a
-    /// steady compute/shared segment (`0` when the next issue is not
-    /// steady).
+    /// Per slot: [`slot_steady_rem`], the instructions left in a steady
+    /// compute/shared segment (`0` when the next issue is not steady).
     steady_rem: Vec<u32>,
     /// Warps parked at a barrier, over all resident blocks: while zero,
     /// the tick skips the barrier-release check.
@@ -292,7 +302,7 @@ impl Sm {
             rr: 0,
             last_slot: None,
             sched: cfg.warp_sched,
-            l1_hit_fraction: cfg.l1_hit_fraction,
+            l1_hit_below: l1_hit_threshold(cfg.l1_hit_fraction),
             l1_latency: cfg.l1_latency_cycles,
             l1_hits: 0,
             l1_misses: 0,
@@ -300,6 +310,7 @@ impl Sm {
             blocks: Vec::new(),
             kernel: None,
             wpb: 0,
+            warps: Vec::new(),
             ready_at: Vec::new(),
             steady_rem: Vec::new(),
             parked: 0,
@@ -400,56 +411,77 @@ impl Sm {
     }
 
     /// Place a block of kernel `desc` onto the SM, appending its warps to
-    /// the slot tables.
+    /// the slot tables: fresh warps at the top of the program, or the warps
+    /// of a restored context.
     ///
     /// # Panics
     ///
     /// Panics if the block belongs to a different kernel than the resident
     /// ones (current GPUs only co-locate blocks of one kernel per SM).
     pub fn dispatch(&mut self, mut block: BlockRun, desc: &KernelDesc) {
+        let wpb = desc.warps_per_block() as usize;
         match self.kernel {
             Some(k) => assert_eq!(k, block.id.kernel, "mixed kernels on one SM"),
             None => {
                 self.kernel = Some(block.id.kernel);
-                self.wpb = block.warps().len();
+                self.wpb = wpb;
             }
         }
-        debug_assert_eq!(block.warps().len(), self.wpb, "uniform warps per block");
+        debug_assert_eq!(wpb, self.wpb, "uniform warps per block");
         block.addr_key = hash_combine(&[
             self.seed,
             block.id.kernel.0 as u64,
             u64::from(block.id.index),
         ]);
+        let first = self.warps.len();
+        let saved = block.take_saved_warps();
+        if saved.is_empty() {
+            self.warps
+                .extend((0..desc.warps_per_block()).map(Warp::new));
+        } else {
+            debug_assert_eq!(saved.len(), wpb, "a restored context holds every warp");
+            // In-flight memory operations were drained before the save.
+            self.warps.extend(saved.into_iter().map(|mut w| {
+                if matches!(w.phase, WarpPhase::WaitMem(_)) {
+                    w.phase = WarpPhase::Ready;
+                }
+                w
+            }));
+        }
         let segments = desc.program().segments();
-        for w in 0..self.wpb {
-            self.ready_at.push(block.ready_at(w));
-            self.steady_rem.push(block.steady_rem(w, segments));
+        for warp in &self.warps[first..] {
+            self.ready_at.push(slot_ready_at(warp, block.warm_up_until));
+            self.steady_rem
+                .push(slot_steady_rem(warp, segments, block.scaled_segs()));
         }
         self.parked += block.parked();
         self.blocks.push(block);
     }
 
     /// Keep the resident blocks for which `keep` returns `true`, in order,
-    /// and compact the slot tables (and the parked count) to match.
-    fn retain_blocks(&mut self, mut keep: impl FnMut(&BlockRun) -> bool) {
+    /// and compact the slot tables (and the parked count) to match. `keep`
+    /// sees each block with its slot range of the warp table.
+    fn retain_blocks(&mut self, mut keep: impl FnMut(&BlockRun, &[Warp]) -> bool) {
         let wpb = self.wpb;
         let (mut b, mut kept) = (0, 0);
         self.blocks.retain(|blk| {
-            let k = keep(blk);
+            let range = b * wpb..(b + 1) * wpb;
+            let k = keep(blk, &self.warps[range.clone()]);
             if !k {
                 self.parked -= blk.parked();
             } else {
                 if kept != b {
-                    self.ready_at
-                        .copy_within(b * wpb..(b + 1) * wpb, kept * wpb);
-                    self.steady_rem
-                        .copy_within(b * wpb..(b + 1) * wpb, kept * wpb);
+                    let to = kept * wpb;
+                    self.warps.copy_within(range.clone(), to);
+                    self.ready_at.copy_within(range.clone(), to);
+                    self.steady_rem.copy_within(range, to);
                 }
                 kept += 1;
             }
             b += 1;
             k
         });
+        self.warps.truncate(kept * wpb);
         self.ready_at.truncate(kept * wpb);
         self.steady_rem.truncate(kept * wpb);
         if kept == 0 {
@@ -457,30 +489,44 @@ impl Sm {
         }
     }
 
-    /// Recompute the table entries of warp `w` of block `b` from the warp.
-    #[inline]
-    fn refresh_slot(&mut self, b: usize, w: usize, segments: &[Segment]) {
-        let (blk, s) = (&self.blocks[b], b * self.wpb + w);
-        self.ready_at[s] = blk.ready_at(w);
-        self.steady_rem[s] = blk.steady_rem(w, segments);
+    /// Remove resident block `b` and its slot range from every table.
+    fn remove_block(&mut self, b: usize) {
+        let range = b * self.wpb..(b + 1) * self.wpb;
+        self.blocks.remove(b);
+        self.warps.drain(range.clone());
+        self.ready_at.drain(range.clone());
+        self.steady_rem.drain(range);
+        if self.blocks.is_empty() {
+            self.kernel = None;
+        }
     }
 
-    /// The first piece of derived state that disagrees with a
-    /// recomputation from the blocks, described; `None` when all of it is
-    /// exact: both slot tables, the cursor's range, the resident kernel,
-    /// the SM's parked-warp total and every block's parked/done counts.
-    /// `desc` supplies the program for `steady_rem`, which is checked only
-    /// when it is given.
+    /// Recompute the derived table entries of slot `s`, a warp of block `b`.
+    #[inline]
+    fn refresh_slot(&mut self, b: usize, s: usize, segments: &[Segment]) {
+        let (warp, blk) = (&self.warps[s], &self.blocks[b]);
+        self.ready_at[s] = slot_ready_at(warp, blk.warm_up_until);
+        self.steady_rem[s] = slot_steady_rem(warp, segments, blk.scaled_segs());
+    }
+
+    /// The first piece of table state that disagrees with a recomputation,
+    /// described; `None` when all of it is exact: the three slot tables'
+    /// lengths, each warp's index within its block, every block's
+    /// parked/done counts and issued instructions against its warps, both
+    /// derived tables against their warps, the cursor's range, the resident
+    /// kernel and the SM's parked-warp total. `desc` supplies the program
+    /// for `steady_rem`, which is checked only when it is given.
     pub(crate) fn table_drift(&self, desc: Option<&KernelDesc>) -> Option<String> {
         if self.kernel != self.blocks.first().map(|b| b.id.kernel) {
             return Some(format!("resident kernel {:?}", self.kernel));
         }
         let n = self.blocks.len() * self.wpb;
-        if self.ready_at.len() != n || self.steady_rem.len() != n {
+        if self.warps.len() != n || self.ready_at.len() != n || self.steady_rem.len() != n {
             return Some(format!(
-                "{} blocks of {} warps, tables of {} and {} slots",
+                "{} blocks of {} warps, tables of {}, {} and {} slots",
                 self.blocks.len(),
                 self.wpb,
+                self.warps.len(),
                 self.ready_at.len(),
                 self.steady_rem.len()
             ));
@@ -493,28 +539,39 @@ impl Sm {
             return Some(format!("{} parked warps, counted {parked}", self.parked));
         }
         for (b, blk) in self.blocks.iter().enumerate() {
-            if blk.warps().len() != self.wpb {
-                return Some(format!("block {b} has {} warps", blk.warps().len()));
+            let range = b * self.wpb..(b + 1) * self.wpb;
+            if !blk.agrees_with(&self.warps[range.clone()]) {
+                return Some(format!("block {b}: phase counts or issued instructions"));
             }
-            if !blk.phase_counts_are_exact() {
-                return Some(format!("block {b}: parked or done count"));
-            }
-            for w in 0..self.wpb {
-                let s = b * self.wpb + w;
-                if self.ready_at[s] != blk.ready_at(w) {
+            for (w, s) in range.enumerate() {
+                let warp = &self.warps[s];
+                if warp.index as usize != w {
+                    return Some(format!("slot {s}: warp {} at index {w}", warp.index));
+                }
+                let ready = slot_ready_at(warp, blk.warm_up_until);
+                if self.ready_at[s] != ready {
                     return Some(format!(
-                        "slot {s}: ready_at {} != {}",
-                        self.ready_at[s],
-                        blk.ready_at(w)
+                        "slot {s}: ready_at {} != {ready}",
+                        self.ready_at[s]
                     ));
                 }
                 let Some(d) = desc else { continue };
-                let rem = blk.steady_rem(w, d.program().segments());
+                let segments = d.program().segments();
+                let rem = slot_steady_rem(warp, segments, blk.scaled_segs());
                 if self.steady_rem[s] != rem {
                     return Some(format!(
                         "slot {s}: steady_rem {} != {rem}",
                         self.steady_rem[s]
                     ));
+                }
+                // A warp that issued from a load or atomic waits on memory
+                // until its next issue; only a restored context drops the
+                // wait (see `Sm::dispatch`).
+                if warp.phase == WarpPhase::Ready
+                    && !blk.has_prior_progress()
+                    && last_issue_blocks(warp, segments)
+                {
+                    return Some(format!("slot {s}: ready after a blocking issue"));
                 }
             }
         }
@@ -593,7 +650,7 @@ impl Sm {
         // the past-idempotence verdict for the sanitizer's differential
         // check (a dirty flush while `false` here is a static-analysis miss).
         let mut flushed = Vec::new();
-        self.retain_blocks(|b| {
+        self.retain_blocks(|b, _| {
             if plan.technique_for(b.id.index) == Some(Technique::Flush) {
                 flushed.push((b.id, b.issued_insts(), b.past_idem_point));
                 false
@@ -656,9 +713,9 @@ impl Sm {
     /// that decides whether a tick stays inside the SM.
     ///
     /// Warp selection and the batch read the SM's flat slot tables
-    /// (`ready_at`, `steady_rem`; see the module docs) instead of the
-    /// blocks' warps. With debug assertions on, every tick checks at entry
-    /// and exit that both tables equal a recomputation from the blocks.
+    /// (`warps`, `ready_at`, `steady_rem`; see the module docs). With debug
+    /// assertions on, every tick checks at entry and exit that the tables
+    /// agree with each other and with the blocks.
     ///
     /// When the selected warp (and, for round-robin, every currently runnable
     /// warp) sits mid-way through a side-effect-free compute/shared segment,
@@ -715,9 +772,9 @@ impl Sm {
                 // interaction: without the memory subsystem, stop here.
                 mem.as_ref()?;
                 let set = std::mem::take(&mut ap.switch_set);
-                self.retain_blocks(|b| {
+                self.retain_blocks(|b, warps| {
                     if set.contains(&b.id.index) {
-                        out.switched_out.push(b.snapshot(now));
+                        out.switched_out.push(b.snapshot(now, warps));
                         false
                     } else {
                         true
@@ -743,11 +800,14 @@ impl Sm {
         if self.parked > 0 {
             for b in 0..self.blocks.len() {
                 let blk = &mut self.blocks[b];
-                if blk.barrier_ready() {
+                if blk.barrier_ready(wpb) {
                     self.parked -= blk.parked();
-                    blk.release_barrier();
-                    for w in 0..wpb {
-                        self.refresh_slot(b, w, segments);
+                    blk.release_parked();
+                    for s in b * wpb..(b + 1) * wpb {
+                        if self.warps[s].phase == WarpPhase::AtBarrier {
+                            self.warps[s].release_barrier();
+                        }
+                        self.refresh_slot(b, s, segments);
                     }
                 }
             }
@@ -786,8 +846,9 @@ impl Sm {
         };
         // A steady compute window is pure by construction, so it commits
         // with or without the memory subsystem. Only a steady chosen warp
-        // can start one.
-        if self.steady_rem[s] > 0 {
+        // with more than one chunk left can start one: otherwise its own
+        // turn is the round-robin breaker, and greedy has under two ticks.
+        if self.steady_rem[s] > self.issue_chunk {
             if let Some(next) = self.try_issue_batch(now, s, cursor, limits, out) {
                 return Some(next);
             }
@@ -796,9 +857,9 @@ impl Sm {
         // the tick is classified.
         let (bi, wi) = (s / wpb, s % wpb);
         let block = &self.blocks[bi];
-        let mut warp = block.warps()[wi];
+        let mut warp = self.warps[s];
         let outcome = warp.issue(segments, block.scaled_segs(), self.issue_chunk);
-        let block_done = outcome.done && block.one_warp_left();
+        let block_done = outcome.done && block.one_warp_left(wpb);
         let effect = outcome.completed_segment.filter(|&ix| {
             matches!(
                 segments[ix],
@@ -813,8 +874,8 @@ impl Sm {
         // fold).
         let access = (outcome.mem_bytes > 0).then(|| {
             let addr = splitmix64(splitmix64(block.addr_key ^ wi as u64) ^ now);
-            let hit = !outcome.protect_store
-                && crate::rng::unit_f64(hash_combine(&[addr, 0x11CA])) < self.l1_hit_fraction;
+            let hit =
+                !outcome.protect_store && hash_combine(&[addr, 0x11CA]) >> 11 < self.l1_hit_below;
             (addr, hit)
         });
         // Without the memory subsystem (Phase A), stop before anything
@@ -827,12 +888,13 @@ impl Sm {
             self.set_cursor(c);
         }
         let block = &mut self.blocks[bi];
-        block.commit_warp(wi, warp);
+        block.note_phase(warp.phase);
+        self.warps[s] = warp;
         if outcome.hit_barrier {
             self.parked += 1;
         }
         if outcome.insts > 0 {
-            block.add_insts(outcome.insts);
+            block.add_insts(u64::from(outcome.insts));
             self.insts_issued_total += u64::from(outcome.insts);
             out.issued_insts += outcome.insts;
             self.issue_free_at = now + self.issue_interval * u64::from(outcome.insts);
@@ -861,7 +923,7 @@ impl Sm {
             // A warp that just finished its program does not wait for final
             // loads; completion is signalled by the trailing stores.
             if outcome.mem_blocking && !outcome.done {
-                block.warps_mut()[wi].stall_until(ready);
+                self.warps[s].stall_until(ready);
             }
         }
         if let Some(seg_idx) = effect {
@@ -877,18 +939,13 @@ impl Sm {
             let id = block.id;
             let insts = block.issued_insts();
             let cycles = block.elapsed_cycles(now);
-            self.blocks.remove(bi);
-            self.ready_at.drain(bi * wpb..(bi + 1) * wpb);
-            self.steady_rem.drain(bi * wpb..(bi + 1) * wpb);
-            if self.blocks.is_empty() {
-                self.kernel = None;
-            }
+            self.remove_block(bi);
             self.rr = 0;
             self.last_slot = None;
             out.completed.push((id, insts, cycles));
             self.check_preempt_done(now, out);
         } else {
-            self.refresh_slot(bi, wi, segments);
+            self.refresh_slot(bi, s, segments);
         }
         Some(if self.blocks.is_empty() {
             u64::MAX
@@ -905,13 +962,17 @@ impl Sm {
         self.last_slot = Some(slot);
     }
 
-    /// Book `insts` steady instructions for warp `w` of block `b` (a
-    /// batched issue) in the warp and in both slot tables.
+    /// Book `insts` steady instructions for slot `s`, a warp of block `b`
+    /// (a batched issue: no segment completes, so the warp only advances
+    /// within its segment), in all three slot tables and the block.
     #[inline]
-    fn issue_steady(&mut self, b: usize, w: usize, insts: u32) {
-        let (blk, s) = (&mut self.blocks[b], b * self.wpb + w);
-        blk.issue_steady(w, insts);
-        self.ready_at[s] = blk.ready_at(w);
+    fn issue_steady(&mut self, b: usize, s: usize, insts: u32) {
+        let (blk, warp) = (&mut self.blocks[b], &mut self.warps[s]);
+        warp.phase = WarpPhase::Ready;
+        warp.done_in_seg += insts;
+        blk.add_insts(u64::from(insts));
+        // A ready warp waits only for its block's context load.
+        self.ready_at[s] = blk.warm_up_until;
         self.steady_rem[s] -= insts;
     }
 
@@ -922,8 +983,11 @@ impl Sm {
     /// ordinary single-chunk issue.
     ///
     /// Every read is a slot-table read: the chosen slot's `steady_rem`, and
-    /// under round-robin `ready_at` and `steady_rem` along the rotation.
-    /// A committed batch writes both tables for every slot it issued from.
+    /// under round-robin `ready_at` and `steady_rem` along the rotation,
+    /// walked with a wrapping index. A committed batch writes all three
+    /// tables for every slot it issued from: the warp advances within its
+    /// segment and becomes `Ready`, so its `ready_at` becomes its block's
+    /// `warm_up_until`, and its `steady_rem` drops by what it issued.
     ///
     /// The batch is byte-identical to the serial schedule because:
     /// - batched ticks run at `now + j·issue_interval·chunk`, exactly where
@@ -982,7 +1046,7 @@ impl Sm {
                 return None;
             }
             // simlint: allow(as-narrowing) -- ticks * chunk is capped at INSTS_CAP (2^30) above
-            self.issue_steady(s / self.wpb, s % self.wpb, (ticks * chunk) as u32);
+            self.issue_steady(s / self.wpb, s, (ticks * chunk) as u32);
             if let Some(c) = cursor {
                 self.set_cursor(c);
             }
@@ -1001,22 +1065,27 @@ impl Sm {
         // precedes the chosen slot and ends a whole-rotation batch.
         let mut last_ready = s;
         let mut breaker = false;
-        for t in rotation(s, n) {
+        let mut t = s;
+        loop {
             // Sleeping slots bound the window; AtBarrier / Done slots
             // (`u64::MAX`) are inert for all of it.
             let ready = self.ready_at[t];
             if ready > now {
                 wake_min = wake_min.min(ready);
-                continue;
+            } else {
+                let rem = u64::from(self.steady_rem[t]);
+                if rem <= chunk {
+                    breaker = true;
+                    break;
+                }
+                prefix_len += 1;
+                min_rem = min_rem.min(rem);
+                last_ready = t;
             }
-            let rem = u64::from(self.steady_rem[t]);
-            if rem <= chunk {
-                breaker = true;
+            t = if t + 1 == n { 0 } else { t + 1 };
+            if t == s {
                 break;
             }
-            prefix_len += 1;
-            min_rem = min_rem.min(rem);
-            last_ready = t;
         }
         let mut max_ticks = horizon_ticks;
         if wake_min != u64::MAX {
@@ -1033,19 +1102,28 @@ impl Sm {
             if ticks >= 2 {
                 // simlint: allow(as-narrowing) -- rot * chunk is capped at INSTS_CAP / prefix_len above
                 let per_warp = (rot * chunk) as u32;
+                // Every runnable slot issues `per_warp`: one loop per block
+                // over its contiguous slot range, as `issue_steady` does
+                // slot by slot, with one instruction count per block.
                 let wpb = self.wpb;
-                let tables = self
-                    .ready_at
+                let ranges = self
+                    .warps
                     .chunks_exact_mut(wpb)
+                    .zip(self.ready_at.chunks_exact_mut(wpb))
                     .zip(self.steady_rem.chunks_exact_mut(wpb));
-                for (blk, (ready, rem)) in self.blocks.iter_mut().zip(tables) {
-                    for w in 0..wpb {
-                        if ready[w] <= now {
-                            blk.issue_steady(w, per_warp);
-                            ready[w] = blk.ready_at(w);
-                            rem[w] -= per_warp;
+                for (blk, ((warps, ready), rem)) in self.blocks.iter_mut().zip(ranges) {
+                    let warm = blk.warm_up_until;
+                    let mut issued = 0u64;
+                    for ((warp, ready), rem) in warps.iter_mut().zip(ready).zip(rem) {
+                        if *ready <= now {
+                            warp.phase = WarpPhase::Ready;
+                            warp.done_in_seg += per_warp;
+                            *ready = warm;
+                            *rem -= per_warp;
+                            issued += 1;
                         }
                     }
+                    blk.add_insts(issued * u64::from(per_warp));
                 }
                 // The rotation starts at the chosen slot, so its last tick
                 // issues from `last_ready`; the cursor ends up just past
@@ -1067,28 +1145,28 @@ impl Sm {
         if ticks < 2 {
             return None;
         }
-        let (mut remaining, mut last) = (ticks, s);
+        // The same commit, slot by slot in rotation order; `t = b · wpb + w`.
+        let (mut remaining, mut t) = (ticks, s);
         let (nb, wpb) = (self.blocks.len(), self.wpb);
         let (mut b, mut w) = (s / wpb, s % wpb);
-        for t in rotation(s, n) {
+        loop {
             if self.ready_at[t] <= now {
-                self.issue_steady(b, w, self.issue_chunk);
+                self.issue_steady(b, t, self.issue_chunk);
                 remaining -= 1;
-                last = t;
                 if remaining == 0 {
                     break;
                 }
             }
-            w += 1;
+            (t, w) = (t + 1, w + 1);
             if w == wpb {
-                (b, w) = (if b + 1 == nb { 0 } else { b + 1 }, 0);
+                (b, w) = (b + 1, 0);
+                if b == nb {
+                    (b, t) = (0, 0);
+                }
             }
+            debug_assert_ne!(t, s, "the steady prefix holds `ticks` runnable slots");
         }
-        debug_assert_eq!(
-            remaining, 0,
-            "the steady prefix holds `ticks` runnable slots"
-        );
-        self.set_cursor(last);
+        self.set_cursor(t);
         self.commit_batch(now, ticks * chunk, out)
     }
 
@@ -1172,11 +1250,50 @@ impl Sm {
     }
 }
 
-/// The `n` slots in rotation order from `start`: `start..n`, then
-/// `0..start`.
-#[inline(always)]
-fn rotation(start: usize, n: usize) -> impl Iterator<Item = usize> {
-    (start..n).chain(0..start)
+/// The `ready_at` table entry of `warp`, in a block whose context load
+/// ends at `warm_up_until`: the earliest cycle it could issue, or
+/// `u64::MAX` at a barrier or when done.
+#[inline]
+fn slot_ready_at(warp: &Warp, warm_up_until: u64) -> u64 {
+    warp.next_ready_at()
+        .map_or(u64::MAX, |t| t.max(warm_up_until))
+}
+
+/// The `steady_rem` table entry of `warp`, in a block with segment lengths
+/// `scaled`: the instructions left in its steady segment (see
+/// [`Warp::steady_compute_rem`]), or `0` when its next issue is not steady.
+#[inline]
+fn slot_steady_rem(warp: &Warp, segments: &[Segment], scaled: &[u32]) -> u32 {
+    warp.steady_compute_rem(segments, scaled).unwrap_or(0)
+}
+
+/// Whether `warp`'s last issued chunk came from a load or atomic: the
+/// segment it is part-way through, or else the one it just completed.
+fn last_issue_blocks(warp: &Warp, segments: &[Segment]) -> bool {
+    let last = if warp.done_in_seg > 0 {
+        Some(warp.seg_idx)
+    } else {
+        warp.seg_idx.checked_sub(1)
+    };
+    last.is_some_and(|i| {
+        matches!(
+            segments[i],
+            Segment::GlobalLoad { .. } | Segment::Atomic { .. }
+        )
+    })
+}
+
+/// The integer form of an L1 hit fraction: an access whose hash is `h`
+/// hits exactly when `h >> 11` is below it.
+///
+/// Bit-identical to `unit_f64(h) < fraction`: `unit_f64(h)` is
+/// `(h >> 11) / 2^53`, exact for a 53-bit integer `k`, scaling by `2^53` is
+/// exact, and for an integer `k`, `k < x ⟺ k < ⌈x⌉`. The float-to-integer
+/// cast saturates, so a NaN or negative fraction gives `0` (nothing hits)
+/// and a fraction of at least `1` gives at least `2^53` (everything hits).
+fn l1_hit_threshold(fraction: f64) -> u64 {
+    // simlint: allow(as-narrowing) -- saturating cast; NaN and negatives map to 0 (see above)
+    (fraction * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// The segment that `outcome`'s instructions came from, if instructions were
@@ -1600,6 +1717,59 @@ mod tests {
         }
     }
 
+    /// A context restored onto an SM drops its memory waits: in-flight
+    /// memory operations were drained before the save.
+    #[test]
+    fn restored_warps_drop_their_memory_waits() {
+        let cfg = cfg();
+        let d = desc(vec![Segment::compute(100)]);
+        let id = BlockId {
+            kernel: KernelId(0),
+            index: 0,
+        };
+        let mut sm = Sm::new(0, &cfg, 1);
+        sm.dispatch(BlockRun::new(id, &d, 1, 0), &d);
+        sm.warps[0].stall_until(10_000);
+        let snap = sm.blocks[0].snapshot(100, &sm.warps[..sm.wpb]);
+        assert_eq!(snap.warps[0].phase, WarpPhase::WaitMem(10_000));
+        let mut resumed = Sm::new(1, &cfg, 1);
+        resumed.dispatch(BlockRun::from_snapshot(snap, 200, 300), &d);
+        assert!(resumed.warps.iter().all(|w| w.phase == WarpPhase::Ready));
+        assert_eq!(resumed.ready_at, [300, 300], "ready after the context load");
+        assert_eq!(resumed.table_drift(Some(&d)), None);
+    }
+
+    /// The integer L1 threshold agrees with the float comparison it
+    /// replaces on both sides of its boundary, degenerate fractions
+    /// included.
+    #[test]
+    fn l1_hit_threshold_matches_the_float_test() {
+        let top = 1u64 << 53;
+        for fraction in [
+            0.0,
+            0.3,
+            0.5,
+            1.0,
+            1.5,
+            -0.1,
+            f64::NAN,
+            1.0 - f64::EPSILON / 2.0,
+        ] {
+            let t = l1_hit_threshold(fraction);
+            for k in [t.wrapping_sub(1), t] {
+                if k >= top {
+                    continue;
+                }
+                let float_hit = crate::rng::unit_f64(k << 11) < fraction;
+                assert_eq!(k < t, float_hit, "fraction {fraction}, k {k}");
+            }
+        }
+        assert_eq!(l1_hit_threshold(f64::NAN), 0);
+        assert_eq!(l1_hit_threshold(-0.1), 0);
+        assert!(l1_hit_threshold(1.0) >= top);
+        assert_eq!(l1_hit_threshold(1.0 - f64::EPSILON / 2.0), top - 1);
+    }
+
     /// The parallel engine's half of the one tick body: run without the
     /// memory subsystem, a tick that would touch shared state reports an
     /// interaction and changes nothing (scheduler cursor included), and
@@ -1702,7 +1872,6 @@ mod sched_tests {
     use super::*;
     use crate::config::WarpSched;
     use crate::kernel::{KernelDesc, Program, Segment};
-    use crate::warp::WarpPhase;
 
     fn desc(segs: Vec<Segment>) -> KernelDesc {
         KernelDesc::builder("k")
@@ -1871,13 +2040,18 @@ mod sched_tests {
             kernel: KernelId(0),
             index: 0,
         };
-        let mut block = BlockRun::new(id, d, 1, 0);
-        let warps = block.warps_mut();
-        assert_eq!(warps.len(), 6);
-        warps[4].seg_idx = 1;
-        warps[5].seg_idx = 2;
-        warps[5].phase = WarpPhase::WaitMem(sleeper_wake);
-        sm.dispatch(block, d);
+        sm.dispatch(BlockRun::new(id, d, 1, 0), d);
+        assert_eq!(sm.warps.len(), 6);
+        sm.warps[4].seg_idx = 1;
+        sm.warps[5].seg_idx = 2;
+        sm.warps[5].phase = WarpPhase::WaitMem(sleeper_wake);
+        // Book the skipped segments, so the block's instruction count
+        // agrees with its warps' progress.
+        let scaled = sm.blocks[0].scaled_segs().to_vec();
+        sm.blocks[0].add_insts(u64::from(2 * scaled[0] + scaled[1]));
+        for s in 4..6 {
+            sm.refresh_slot(0, s, d.program().segments());
+        }
         sm
     }
 
@@ -1990,8 +2164,8 @@ mod table_tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-        /// Both slot tables (and the parked-warp counts) equal their
-        /// recomputation from the blocks after every step of a random mix:
+        /// The slot tables agree with each other and with the blocks (see
+        /// `Sm::table_drift`) after every step of a random mix:
         /// dispatches of fresh and resumed blocks, ticks with and without
         /// the memory subsystem and with or without a batching window, and
         /// flush/switch/drain preemptions, under both warp schedulers.
