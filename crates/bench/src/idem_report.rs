@@ -85,11 +85,10 @@ mod tests {
 
     #[test]
     fn golden_file_matches_render() {
-        // Regenerate with:
-        //   cargo run --release -p bench --bin idem-report > results/table2_idem.txt
+        // Regenerate with the `repro-all` binary (`bench::captures`).
         let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/table2_idem.txt");
         let want = std::fs::read_to_string(golden)
-            .expect("results/table2_idem.txt is checked in; regenerate with the idem-report bin");
+            .expect("results/table2_idem.txt is checked in; regenerate with repro-all");
         assert_eq!(
             render(&Suite::standard()),
             want,

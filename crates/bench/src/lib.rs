@@ -7,6 +7,7 @@
 //! crossovers fall — are the reproduction target. See EXPERIMENTS.md.
 
 pub mod args;
+pub mod captures;
 pub mod idem_report;
 pub mod pool;
 pub mod progress;

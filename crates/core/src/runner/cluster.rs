@@ -244,13 +244,15 @@ struct DeviceState {
 }
 
 impl DeviceState {
+    /// A device with `lanes` dispatch lanes; 0 lanes is 1, as
+    /// [`ServeConfig::lanes`] clamps it.
     fn new(mut gpu: GpuScheduler, lanes: usize, tenants: usize) -> Self {
         assert_eq!(
             gpu.num_processes(),
             0,
             "the serve loop needs fresh schedulers"
         );
-        let lanes: Vec<ProcId> = (0..lanes).map(|_| gpu.add_process()).collect();
+        let lanes: Vec<ProcId> = (0..lanes.max(1)).map(|_| gpu.add_process()).collect();
         DeviceState {
             gpu,
             lane_req: vec![None; lanes.len()],
@@ -449,8 +451,8 @@ impl ServeRun {
             deadline_met: dev.deadline_met,
             violations,
             unfinished: admitted - completed - dev.shed_late,
-            offered_per_s: offered as f64 / horizon_s,
-            goodput_per_s: dev.deadline_met as f64 / horizon_s,
+            offered_per_s: per_horizon(offered as f64, horizon_s),
+            goodput_per_s: per_horizon(dev.deadline_met as f64, horizon_s),
             slack_p50_us: slack_quantile(&slacks, 0.50),
             slack_p99_us: slack_quantile(&slacks, 0.99),
             slack_p999_us: slack_quantile(&slacks, 0.999),
@@ -478,7 +480,7 @@ impl ServeRun {
                     violations: dev.total(|t| t.violations),
                     unfinished: admitted - completed - dev.shed_late,
                     served_us: dev.served_us,
-                    stp: dev.served_us / horizon_us,
+                    stp: per_horizon(dev.served_us, horizon_us),
                     antt: (completed > 0).then(|| dev.ntt_sum / completed as f64),
                 }
             })
@@ -500,8 +502,8 @@ impl ServeRun {
             shed: sum(|d| d.shed),
             completed,
             violations: sum(|d| d.violations),
-            goodput_per_s: deadline_met as f64 / (horizon_us / 1e6),
-            stp: served.iter().sum::<f64>() / horizon_us,
+            goodput_per_s: per_horizon(deadline_met as f64, horizon_us / 1e6),
+            stp: per_horizon(served.iter().sum::<f64>(), horizon_us),
             antt: (completed > 0).then(|| ntt_sum / completed as f64),
             imbalance: imbalance(&served),
             slack_p50_us: slack_quantile(&slacks, 0.50),
@@ -516,6 +518,22 @@ impl ServeRun {
     }
 }
 
+/// Whether a serving horizon simulates anything: one that is NaN,
+/// infinite or not positive does not.
+fn simulated(horizon_us: f64) -> bool {
+    horizon_us.is_finite() && horizon_us > 0.0
+}
+
+/// `amount / horizon`, or 0 for a horizon that simulated nothing, where
+/// the quotient would be NaN or meaningless.
+fn per_horizon(amount: f64, horizon: f64) -> f64 {
+    if simulated(horizon) {
+        amount / horizon
+    } else {
+        0.0
+    }
+}
+
 /// The serving loop, on caller-built schedulers (one per device; each must
 /// have no processes registered yet — the loop adds one per lane, and all
 /// must share one [`GpuConfig`]). Build them with [`device_builder`] to get
@@ -526,22 +544,46 @@ impl ServeRun {
 /// weighted-fair dispatcher take it from there. Devices are stepped in
 /// lockstep by identical `run_for_us` sequences, so the run is
 /// deterministic in device order.
+///
+/// Degenerate runs serve nothing and report zero counts and zero rates:
+/// no devices, a horizon that is NaN, infinite or `<= 0` (nothing is
+/// simulated), and a workload with no classes or no tenants (nothing is
+/// offered).
 pub fn run_serve_devices(
     gpus: Vec<GpuScheduler>,
     wl: &ServeWorkload,
     scfg: &ServeConfig,
     placement: Placement,
 ) -> ServeRun {
-    assert!(!gpus.is_empty(), "a serving run needs at least one device");
-    assert!(!wl.classes.is_empty() && !wl.tenants.is_empty());
-    let cfg = gpus[0].engine().config().clone();
     let horizon_us = scfg.common.horizon_us;
-    let tenant_weights: Vec<u32> = wl.tenants.iter().map(|t| t.weight).collect();
-    let arrivals = materialize_arrivals(wl, scfg);
     let mut devs: Vec<DeviceState> = gpus
         .into_iter()
         .map(|gpu| DeviceState::new(gpu, scfg.lanes, wl.tenants.len()))
         .collect();
+    if simulated(horizon_us) && !devs.is_empty() {
+        serve_loop(&mut devs, wl, scfg, placement);
+    }
+    for (d, dev) in devs.iter().enumerate() {
+        super::assert_race_clean(dev.gpu.engine(), &format!("run_serve device {d}"));
+    }
+    ServeRun {
+        devices: devs,
+        horizon_us,
+        tenant_names: wl.tenants.iter().map(|t| t.name.clone()).collect(),
+    }
+}
+
+/// Step at least one device to a finite, positive horizon.
+fn serve_loop(
+    devs: &mut [DeviceState],
+    wl: &ServeWorkload,
+    scfg: &ServeConfig,
+    placement: Placement,
+) {
+    let cfg = devs[0].gpu.engine().config().clone();
+    let horizon_us = scfg.common.horizon_us;
+    let tenant_weights: Vec<u32> = wl.tenants.iter().map(|t| t.weight).collect();
+    let arrivals = materialize_arrivals(wl, scfg);
     let mut loads = vec![0.0f64; devs.len()];
 
     let mut next_arrival = 0usize;
@@ -551,7 +593,7 @@ pub fn run_serve_devices(
         let now_us = cfg.cycles_to_us(devs[0].gpu.cycle());
         while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_us <= now_us {
             let p = arrivals[next_arrival].clone();
-            for (load, dev) in loads.iter_mut().zip(&devs) {
+            for (load, dev) in loads.iter_mut().zip(devs.iter()) {
                 *load = dev.backlog_us();
             }
             let d = placement.pick(next_arrival, p.tenant, &loads);
@@ -575,19 +617,11 @@ pub fn run_serve_devices(
             dev.advance(step_us, &cfg);
         }
     }
-
-    for (d, dev) in devs.iter().enumerate() {
-        super::assert_race_clean(dev.gpu.engine(), &format!("run_serve device {d}"));
-    }
-    ServeRun {
-        devices: devs,
-        horizon_us,
-        tenant_names: wl.tenants.iter().map(|t| t.name.clone()).collect(),
-    }
 }
 
 /// Run an open-loop serving experiment over a cluster of independent GPUs
-/// ([`run_serve_devices`] over [`device_builder`] schedulers).
+/// ([`run_serve_devices`] over [`device_builder`] schedulers). A cluster
+/// of 0 devices serves nothing: every count is 0, and so is the imbalance.
 ///
 /// ```no_run
 /// use chimera::runner::cluster::{run_serve_cluster, ClusterServeConfig, Placement};
@@ -607,7 +641,6 @@ pub fn run_serve_cluster(
     wl: &ServeWorkload,
     ccfg: &ClusterServeConfig,
 ) -> ClusterServeResult {
-    assert!(ccfg.devices > 0, "a cluster needs at least one device");
     let gpus = (0..ccfg.devices)
         .map(|d| device_builder(cfg, &ccfg.serve, d).build())
         .collect();
@@ -718,6 +751,53 @@ mod tests {
         }
         let got: Vec<u64> = res.devices.iter().map(|d| d.offered).collect();
         assert_eq!(got, want);
+    }
+
+    /// Degenerate configs built in code serve nothing and report zero
+    /// counts and zero rates, where they used to hang (a NaN or infinite
+    /// horizon), panic (no devices, no classes, no tenants) or report 0/0
+    /// (a zero horizon); 0 lanes run as the one lane the setter gives.
+    #[test]
+    fn degenerate_serving_configs_serve_nothing() {
+        let (cfg, wl, scfg) = small_cfg();
+        let scfg = scfg.horizon_us(2_000.0);
+        let assert_nothing_served = |r: &ServeResult, what: &str| {
+            let counts = [r.offered, r.admitted, r.completed, r.unfinished];
+            assert_eq!(counts, [0; 4], "{what}");
+            assert_eq!([r.offered_per_s, r.goodput_per_s], [0.0; 2], "{what}");
+            assert_eq!(r.slack_p50_us, None, "{what}");
+        };
+        for horizon in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let s = scfg.clone().horizon_us(horizon);
+            assert_nothing_served(&run_serve(&cfg, &wl, &s), &format!("horizon {horizon}"));
+            let c = run_serve_cluster(&cfg, &wl, &ClusterServeConfig::new(s, 2));
+            assert_eq!(c.offered, 0, "horizon {horizon}");
+            assert_eq!([c.goodput_per_s, c.stp, c.imbalance], [0.0; 3]);
+            assert!(c.devices.iter().all(|d| d.offered == 0 && d.stp == 0.0));
+        }
+
+        let none = run_serve_cluster(&cfg, &wl, &ClusterServeConfig::new(scfg.clone(), 0));
+        assert!(none.devices.is_empty());
+        let counts = [none.offered, none.admitted, none.shed, none.completed];
+        assert_eq!(counts, [0; 4]);
+        assert_eq!([none.goodput_per_s, none.stp, none.imbalance], [0.0; 3]);
+        assert_eq!((none.antt, none.slack_p50_us), (None, None));
+
+        let mut no_classes = wl.clone();
+        no_classes.classes.clear();
+        let mut no_tenants = wl.clone();
+        no_tenants.tenants.clear();
+        for (w, what) in [(no_classes, "no classes"), (no_tenants, "no tenants")] {
+            assert_nothing_served(&run_serve(&cfg, &w, &scfg), what);
+        }
+
+        let field = ServeConfig {
+            lanes: 0,
+            ..scfg.clone()
+        };
+        let res = run_serve(&cfg, &wl, &field);
+        assert_eq!(res, run_serve(&cfg, &wl, &scfg.lanes(0)));
+        assert!(res.completed > 0, "one lane serves: {res:?}");
     }
 
     #[test]

@@ -25,12 +25,16 @@ use workloads::Benchmark;
 /// possible context-switch latency of the configuration.
 #[derive(Debug, Clone)]
 pub struct MultiprogConfig {
-    /// Knobs shared with every other runner. (`common.sanitize` is accepted
-    /// for uniformity but multiprog runs do not flush-sanitize today:
-    /// [`GpuScheduler`] has no flush-sanitizer setting.)
+    /// Knobs shared with every other runner. A `common.horizon_us` that
+    /// rounds to 0 cycles (0, negative or NaN) runs nothing: both jobs
+    /// report `t_multi: None` and 0 instructions. `common.sanitize` is not
+    /// read here: only the periodic runner reads it, and
+    /// `bench::scenarios::sanitized_periodic_check` inspects that runner's
+    /// engine.
     pub common: RunCommon,
     /// Measurement budget per benchmark, useful warp instructions
-    /// (the paper's 1-billion-instruction cap, scaled).
+    /// (the paper's 1-billion-instruction cap, scaled). At 0 both jobs are
+    /// measured at the end of the runner's first step.
     pub budget_insts: u64,
     /// SM partitioning policy (the paper's evaluation uses
     /// [`PartitionPolicy::SmartEven`]).
@@ -180,6 +184,7 @@ pub fn run_pair(
 
 /// Run two benchmarks under non-preemptive FCFS: every kernel launch waits
 /// for the previously launched kernel to finish and then gets the whole GPU.
+/// No turn starts at or past the horizon.
 pub fn run_fcfs(
     cfg: &GpuConfig,
     a: &Benchmark,
@@ -199,6 +204,9 @@ pub fn run_fcfs(
     let horizon = cfg.us_to_cycles(mcfg.common.horizon_us);
     let mut queue = std::collections::VecDeque::from([0usize, 1usize]);
     'outer: while let Some(turn) = queue.pop_front() {
+        if engine.cycle() >= horizon {
+            break;
+        }
         jobs[turn].ensure_running(&mut engine);
         let kid = jobs[turn].current().expect("ensure_running launches");
         for sm in 0..cfg.num_sms {
@@ -274,6 +282,34 @@ mod tests {
             out.preemptions > 0,
             "LUD launch churn must trigger preemptions"
         );
+    }
+
+    /// A horizon that rounds to 0 cycles runs nothing in either runner; a
+    /// zero budget measures both jobs at the end of the first step (the
+    /// pair's 10 µs tick, FCFS's first kernel).
+    #[test]
+    fn degenerate_horizons_and_budgets() {
+        let suite = Suite::standard();
+        let cfg = suite.config();
+        let (lud, sad) = (suite.require("LUD"), suite.require("SAD"));
+        let policy = Policy::chimera_us(30.0);
+        for horizon in [0.0, f64::NAN] {
+            let mcfg = quick().horizon_us(horizon);
+            let pair = run_pair(cfg, lud, sad, policy, &mcfg);
+            let fcfs = run_fcfs(cfg, lud, sad, &mcfg);
+            for out in [pair, fcfs] {
+                assert_eq!(out.preemptions, 0);
+                for job in &out.jobs {
+                    assert_eq!((job.t_multi, job.insts), (None, 0), "{horizon}: {job:?}");
+                }
+            }
+        }
+        let mcfg = quick().budget_insts(0);
+        let measured = |out: &PairOutcome| out.jobs.clone().map(|j| j.t_multi);
+        let pair = run_pair(cfg, lud, sad, policy, &mcfg);
+        assert_eq!(measured(&pair), [Some(14_000); 2]);
+        let fcfs = run_fcfs(cfg, lud, sad, &mcfg);
+        assert_eq!(measured(&fcfs), [Some(28_476); 2]);
     }
 
     #[test]

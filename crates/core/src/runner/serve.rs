@@ -291,8 +291,12 @@ impl Default for AdmissionConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Shared runner knobs. `common.sanitize` is accepted for uniformity
-    /// but serve runs do not flush-sanitize today.
+    /// Shared runner knobs. A `common.horizon_us` that is NaN, infinite
+    /// or `<= 0` simulates nothing: the run offers nothing and reports zero
+    /// counts and zero rates. `common.sanitize` is not read here: only the
+    /// periodic runner reads it, and
+    /// `bench::scenarios::sanitized_periodic_check` inspects that runner's
+    /// engine.
     pub common: RunCommon,
     /// The arrival process replayed against the front door.
     pub arrivals: ArrivalProcess,
@@ -304,6 +308,7 @@ pub struct ServeConfig {
     pub partition: PartitionPolicy,
     /// Dispatch lanes: concurrently running requests (one scheduler
     /// process each). More lanes trade per-request latency for throughput.
+    /// 0 runs one lane, as the [`lanes`](Self::lanes) setter clamps it.
     pub lanes: usize,
 }
 
@@ -493,6 +498,9 @@ pub(crate) fn slack_quantile(slacks: &[f64], q: f64) -> Option<f64> {
 /// pure function of `(workload, serve config)`, so every device count and
 /// placement replays the identical request stream.
 pub(crate) fn materialize_arrivals(wl: &ServeWorkload, scfg: &ServeConfig) -> Vec<Pending> {
+    if wl.classes.is_empty() || wl.tenants.is_empty() {
+        return Vec::new();
+    }
     let seed = scfg.common.seed;
     let class_weights: Vec<u32> = wl.classes.iter().map(|c| c.weight).collect();
     let tenant_weights: Vec<u32> = wl.tenants.iter().map(|t| t.weight).collect();
@@ -525,6 +533,11 @@ pub(crate) fn materialize_arrivals(wl: &ServeWorkload, scfg: &ServeConfig) -> Ve
 
 /// Run an open-loop serving experiment on a fresh scheduler: the one-device
 /// projection of [`run_serve_devices`].
+///
+/// A horizon that is NaN, infinite or `<= 0` simulates nothing, and a
+/// workload with no classes or no tenants offers nothing; either run
+/// reports zero counts and zero rates (`offered_per_s`, `goodput_per_s`).
+/// 0 lanes run as one.
 ///
 /// ```no_run
 /// use chimera::runner::serve::{run_serve, ServeConfig};
